@@ -33,7 +33,6 @@ __all__ = [
     "fourier",
     "inverse_fourier",
     "action_permutation",
-    "coefficient_relabel_permutation",
     "check_intertwiner",
     "projection_en",
 ]
@@ -67,11 +66,6 @@ def action_permutation(p: int, g: LambdaMatrix) -> np.ndarray:
     pts = _point_array(p)
     rows = np.array(g.rows, dtype=np.int64)
     return _point_codes((pts @ rows.T) % p, p)
-
-
-def coefficient_relabel_permutation(p: int, g: LambdaMatrix) -> np.ndarray:
-    """Permutation matrix action u_x -> u_{g x} expressed on coefficient vectors."""
-    return action_permutation(p, g)
 
 
 def _as_values(p: int, f) -> np.ndarray:

@@ -1,4 +1,12 @@
-"""Integer 3x3 determinant-one matrices and their elementary-generator balls."""
+"""Integer 3x3 determinant-one matrices and their elementary-generator balls.
+
+Validation happens at the boundary: `LambdaMatrix(rows)` checks the shape
+and the determinant, and `Tower.lam` and the element grammar build their
+matrices through it.  Products, inverses and transposes of such matrices
+have determinant 1 because the determinant is multiplicative (and
+invariant under transposition), so they are built by the private
+`_trusted` constructor without re-checking.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -16,6 +24,8 @@ Rows = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
 _ID_ROWS: Rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
+_set = object.__setattr__
+
 
 def _det3(r: Rows) -> int:
     return (
@@ -30,7 +40,9 @@ class LambdaMatrix:
     """An element of the integer special linear group in rank 3.
 
     Entries are arbitrary-precision ints; the determinant must be +1,
-    so the inverse is the integer adjugate.
+    so the inverse is the integer adjugate.  The public constructor
+    validates; arithmetic results skip validation (see the module
+    docstring).  The hash and the inverse are cached on the instance.
     """
 
     rows: Rows
@@ -46,38 +58,58 @@ class LambdaMatrix:
     def is_identity(self) -> bool:
         return self.rows == _ID_ROWS
 
+    def __hash__(self) -> int:
+        # cached, and equal to the hash the dataclass would generate
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.rows,))
+            _set(self, "_hash", h)
+        return h
+
     def __mul__(self, other: "LambdaMatrix") -> "LambdaMatrix":
-        a, b = self.rows, other.rows
-        return LambdaMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                for i in range(3)
-            )
-        )
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.rows
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = other.rows
+        return _trusted((
+            (a00 * b00 + a01 * b10 + a02 * b20,
+             a00 * b01 + a01 * b11 + a02 * b21,
+             a00 * b02 + a01 * b12 + a02 * b22),
+            (a10 * b00 + a11 * b10 + a12 * b20,
+             a10 * b01 + a11 * b11 + a12 * b21,
+             a10 * b02 + a11 * b12 + a12 * b22),
+            (a20 * b00 + a21 * b10 + a22 * b20,
+             a20 * b01 + a21 * b11 + a22 * b21,
+             a20 * b02 + a21 * b12 + a22 * b22),
+        ))
 
     def inverse(self) -> "LambdaMatrix":
-        """Integer inverse via the adjugate (valid because det == 1)."""
-        r = self.rows
-        cof = [
-            [
-                r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-                - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3]
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        # adjugate = transpose of cofactor matrix
-        return LambdaMatrix(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)))
+        """Integer inverse via the adjugate (valid because det == 1).
+
+        Computed once per instance; the result remembers this matrix as
+        its own inverse, so `m.inverse().inverse() is m`.
+        """
+        inv = self.__dict__.get("_inv")
+        if inv is None:
+            (a, b, c), (d, e, f), (g, h, i) = self.rows
+            inv = _trusted((
+                (e * i - f * h, c * h - b * i, b * f - c * e),
+                (f * g - d * i, a * i - c * g, c * d - a * f),
+                (d * h - e * g, b * g - a * h, a * e - b * d),
+            ))
+            _set(inv, "_inv", self)
+            _set(self, "_inv", inv)
+        return inv
 
     def transpose(self) -> "LambdaMatrix":
-        return LambdaMatrix(tuple(tuple(self.rows[j][i] for j in range(3)) for i in range(3)))
+        return _trusted(tuple(zip(*self.rows)))
 
     def apply(self, v: tuple[int, int, int], modulus: int) -> tuple[int, int, int]:
         """Matrix-vector product with coordinates reduced mod `modulus`."""
-        r = self.rows
-        return tuple(
-            (r[i][0] * v[0] + r[i][1] * v[1] + r[i][2] * v[2]) % modulus
-            for i in range(3)
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        x, y, z = v
+        return (
+            (a * x + b * y + c * z) % modulus,
+            (d * x + e * y + f * z) % modulus,
+            (g * x + h * y + i * z) % modulus,
         )
 
     def mod(self, modulus: int) -> Rows:
@@ -87,7 +119,14 @@ class LambdaMatrix:
         return f"LambdaMatrix({self.rows})"
 
 
-IDENTITY_MATRIX = LambdaMatrix(_ID_ROWS)
+def _trusted(rows: Rows) -> LambdaMatrix:
+    """Build a matrix known to have det 1 without re-validating it."""
+    m = object.__new__(LambdaMatrix)
+    _set(m, "rows", rows)
+    return m
+
+
+IDENTITY_MATRIX = _trusted(_ID_ROWS)
 
 
 def elementary(i: int, j: int, amount: int) -> LambdaMatrix:

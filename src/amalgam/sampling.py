@@ -44,7 +44,7 @@ class Sampler:
         for _ in range(64):
             choice = self.rng.random()
             if choice < 0.4:
-                block = self.rng.randint(0, max(0, level - 2))
+                block = self.rng.randint(0, min(max(0, level - 2), len(tw.primes) - 1))
                 p = tw.primes.p(block)
                 coords = tuple(self.rng.randrange(p) for _ in range(3))
                 w = tw.h(block, coords)

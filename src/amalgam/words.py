@@ -108,6 +108,7 @@ class Tower:
         self.primes = _primes_mod.as_prime_seq(primes)
         self._identity = GroupWord(tower=self, level=0, g0=G0Element.identity())
         self._ball_cache: dict[int, tuple[GroupWord, ...]] = {}
+        self._alphabet_cache: dict[tuple[int, int], tuple[GroupWord, ...]] = {}
 
     # ------------------------------------------------------------------
     # element constructors
@@ -374,21 +375,25 @@ class Tower:
 
         The twelve elementary matrices, the stable letters up to
         `level_cap` and their inverses, and the +-unit coordinate vectors
-        of the first `block_cap` configured blocks.
+        of the first `block_cap` configured blocks.  The tuple is memoized
+        per tower and key, so every caller shares the same letters.
         """
-        letters: dict[GroupWord, None] = {}
-        for m in ELEMENTARY_GENERATORS:
-            letters[self.lam(m)] = None
-        for lvl in range(1, level_cap + 1):
-            letters[self.stable(lvl, 1)] = None
-            letters[self.stable(lvl, -1)] = None
-        for n in range(min(len(self.primes), block_cap)):
-            for i in range(3):
-                for s in (1, -1):
-                    coords = [0, 0, 0]
-                    coords[i] = s
-                    letters[self.h(n, coords)] = None
-        return tuple(letters)
+        key = (level_cap, block_cap)
+        if key not in self._alphabet_cache:
+            letters: dict[GroupWord, None] = {}
+            for m in ELEMENTARY_GENERATORS:
+                letters[self.lam(m)] = None
+            for lvl in range(1, level_cap + 1):
+                letters[self.stable(lvl, 1)] = None
+                letters[self.stable(lvl, -1)] = None
+            for n in range(min(len(self.primes), block_cap)):
+                for i in range(3):
+                    for s in (1, -1):
+                        coords = [0, 0, 0]
+                        coords[i] = s
+                        letters[self.h(n, coords)] = None
+            self._alphabet_cache[key] = tuple(letters)
+        return self._alphabet_cache[key]
 
     def conjugate_growth_profile(self, g: GroupWord, radius: int) -> tuple[int, ...]:
         """Distinct conjugate counts at radii 0..radius.

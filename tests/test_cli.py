@@ -7,6 +7,7 @@ import re
 import pytest
 
 from amalgam.cli import main
+from amalgam.suites import SUITE_NAMES
 
 _ELAPSED = re.compile(r'"elapsed_s": [0-9.e+-]+')
 
@@ -90,6 +91,14 @@ def test_verify_single_suite_passes(capsys):
     assert code == 0
     assert out.splitlines()[-1].startswith("PASS:")
     assert "[PASS] bound:" in out
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_runs_on_one_prime(capsys, suite):
+    # icc used to draw block 1 in the sampler and build h(1;...) in its panel
+    code, out, err = run(capsys, "verify", suite, "--primes", "2", "--samples", "20")
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("PASS:")
 
 
 def test_verify_bad_tolerance_exits_2(capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from amalgam.grammar import ElementSyntaxError, parse_element
 from amalgam.matrices import (
     ELEMENTARY_GENERATORS,
     IDENTITY_MATRIX,
@@ -12,6 +13,7 @@ from amalgam.matrices import (
     elementary,
     generator_ball,
 )
+from amalgam.words import Tower
 
 # Frozen oracle: generator-ball sizes at radii 0..3, recomputed below by an
 # independent breadth-first search for radii 0..2.
@@ -99,3 +101,87 @@ def test_ball_nesting_and_inverse_closure():
     assert all(m.inverse() in b2 for m in b2)
     with pytest.raises(ValueError, match="radius"):
         generator_ball(-1)
+
+
+# ----------------------------------------------------------------------
+# the unrolled kernel against reference formulas, on matrices with big
+# entries: products of up to 20 elementary matrices with amounts up to 1e6
+
+def _random_matrix(rng: random.Random) -> LambdaMatrix:
+    m = IDENTITY_MATRIX
+    for _ in range(rng.randint(1, 20)):
+        i, j = rng.sample(range(3), 2)
+        m = m * elementary(i, j, rng.randint(-10**6, 10**6))
+    return m
+
+
+def _random_matrices(seed: int, count: int = 60) -> list[LambdaMatrix]:
+    rng = random.Random(seed)
+    return [_random_matrix(rng) for _ in range(count)]
+
+
+def _ref_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+    )
+
+
+def test_mul_matches_triple_sum():
+    ms = _random_matrices(11)
+    assert max(abs(e) for m in ms for row in m.rows for e in row) > 2**64
+    for a, b in zip(ms, ms[1:] + ms[:1]):
+        prod = a * b
+        assert prod.rows == _ref_mul(a.rows, b.rows)
+        # the unvalidated product still satisfies the boundary's checks
+        assert LambdaMatrix(prod.rows) == prod
+
+
+def test_inverse_is_two_sided_and_cached_both_ways():
+    for m in _random_matrices(12):
+        inv = m.inverse()
+        assert (m * inv).is_identity and (inv * m).is_identity
+        assert m.inverse() is inv
+        assert inv.inverse() is m
+        fresh = LambdaMatrix(m.rows)
+        assert fresh.inverse() == inv
+        assert fresh.inverse().inverse() == m
+
+
+def test_transpose_matches_reference():
+    for m in _random_matrices(13, 20):
+        t = m.transpose()
+        assert t.rows == tuple(tuple(m.rows[j][i] for j in range(3)) for i in range(3))
+        assert LambdaMatrix(t.rows) == t
+
+
+def test_apply_matches_reference_with_negative_entries():
+    rng = random.Random(14)
+    ms = _random_matrices(14, 20) + [elementary(0, 1, -5), elementary(2, 0, -1)]
+    for modulus in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        for m in ms:
+            v = tuple(rng.randint(-10**4, 10**4) for _ in range(3))
+            want = tuple(sum(m.rows[i][k] * v[k] for k in range(3)) % modulus for i in range(3))
+            got = m.apply(v, modulus)
+            assert got == want
+            assert all(0 <= c < modulus for c in got)
+
+
+def test_equal_matrices_hash_equally_cached_or_not():
+    for m in _random_matrices(15, 20):
+        hashed = LambdaMatrix(m.rows)
+        hash(hashed)  # caches its hash; `fresh` has none cached yet
+        fresh = LambdaMatrix(m.rows)
+        assert hashed == fresh == m
+        assert hash(hashed) == hash(fresh) == hash(m) == hash((m.rows,))
+        assert len({hashed, fresh, m}) == 1
+
+
+def test_boundary_constructors_still_validate():
+    tower = Tower((2, 3))
+    with pytest.raises(ValueError, match="determinant"):
+        tower.lam([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="3x3"):
+        tower.lam([[1, 0], [0, 1]])
+    with pytest.raises(ElementSyntaxError, match="determinant"):
+        parse_element(tower, "L[1,1,0;1,1,0;0,0,1]")
+    assert tower.lam([[1, 2, 0], [0, 1, 0], [0, 0, 1]]).g0.lam == elementary(0, 1, 2)

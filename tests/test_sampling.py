@@ -38,6 +38,16 @@ def test_base_factor_escapes_commuting_subgroup():
             assert not TOWER.in_kn(f, level - 1)
 
 
+def test_base_factor_blocks_clamped_to_configured_primes():
+    one = Tower(PrimeSeq.parse("2"))
+    s = Sampler(one, seed=4)
+    for _ in range(40):
+        f = s.base_factor(3)
+        assert not one.in_kn(f, 2)
+        if f.level == 0:
+            assert set(f.g0.k.support) <= {0}
+
+
 def test_reduced_word_shape():
     s = Sampler(TOWER, seed=3)
     for level in (1, 2, 3):

@@ -1,6 +1,7 @@
 """Named verification suites and their JSON reports."""
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from functools import lru_cache
@@ -74,6 +75,22 @@ def test_reports_deterministic_modulo_timing():
         a = run_suite(name, SMALL).to_json()
         b = run_suite(name, SMALL).to_json()
         assert _stable(a) == _stable(b), name
+
+
+# sha256 of the SMALL reports with every elapsed_s blanked, recorded before
+# the matrix kernel skipped re-validation and cached inverses: kernel
+# changes must leave the word suites' reports byte-identical
+GOLDEN_DIGESTS = {
+    "icc": "9c4d9f7c49319abf0b64aa3d513b2a5016fcd15bb5cac7bdb0631986406f74d7",
+    "xi": "8e08200ba280ad81476b5ae9d8a1de3057135c872e8f13a506c84244cae4a5a2",
+    "disjoint": "2a53e8800a400bed085cc705f47d3dd5ebd60e25fabc641373db5ca215d7555f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_word_suite_reports_match_golden_digest(name):
+    text = _stable(_small_report(name).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
 
 
 def test_seed_changes_sampled_payloads():

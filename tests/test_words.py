@@ -169,6 +169,10 @@ def test_alphabet_contents(tw: Tower):
     assert len(core) == 14  # 12 matrix generators + t(1)^{+-1}
     flat = tw.alphabet(level_cap=0, block_cap=1)
     assert all(w.level == 0 for w in flat)
+    # memoized per tower: repeated calls share one tuple, other towers build their own
+    assert tw.alphabet(level_cap=2) is letters
+    other = Tower(tw.primes).alphabet(level_cap=2)
+    assert other == letters and other is not letters
 
 
 def test_lambda_ball_and_image(tw: Tower):
