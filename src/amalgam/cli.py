@@ -2,11 +2,14 @@
 
 Exit codes: 0 when everything passed, 1 when any check failed, 2 for
 unusable input or configuration (bad grammar, bad flags, bad primes).
+Only reading the input can exit 2: an error raised later, while
+computing, is reported as such (inside a suite, as that check's failure).
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .grammar import parse_element
@@ -69,28 +72,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tower(args) -> Tower:
-    primes = PrimeSeq.parse(args.primes) if args.primes else PrimeSeq.default()
-    return Tower(primes)
+class _BadInput(Exception):
+    """Unusable input or configuration: the process exits 2."""
+
+
+@contextmanager
+def _reading_input():
+    """Map the ValueError/IndexError of parsing and validation to _BadInput."""
+    try:
+        yield
+    except (ValueError, IndexError) as exc:
+        raise _BadInput(str(exc)) from exc
+
+
+def _primes(args) -> PrimeSeq:
+    return PrimeSeq.parse(args.primes) if args.primes else PrimeSeq.default()
 
 
 def _run_elem(args) -> int:
-    tower = _tower(args)
+    with _reading_input():
+        tower = Tower(_primes(args))
+        if args.op == "mul":
+            a = parse_element(tower, args.left)
+            b = parse_element(tower, args.right)
+        else:
+            a = parse_element(tower, args.element)
+        if args.op == "conj":
+            b = parse_element(tower, args.conjugator)
+        elif args.op == "member":
+            member = tower.membership(a, args.subgroup)
     if args.op == "reduce":
-        print(parse_element(tower, args.element).format())
+        print(a.format())
     elif args.op == "mul":
-        a = parse_element(tower, args.left)
-        b = parse_element(tower, args.right)
         print(tower.mul(a, b).format())
     elif args.op == "inv":
-        print(tower.inv(parse_element(tower, args.element)).format())
+        print(tower.inv(a).format())
     elif args.op == "conj":
-        g = parse_element(tower, args.element)
-        h = parse_element(tower, args.conjugator)
-        print(tower.conj(g, h).format())
+        print(tower.conj(a, b).format())
     elif args.op == "member":
-        w = parse_element(tower, args.element)
-        print("true" if tower.membership(w, args.subgroup) else "false")
+        print("true" if member else "false")
     return 0
 
 
@@ -100,17 +120,18 @@ def _write_report(report: Report, path: Path) -> None:
 
 
 def _run_verify(args) -> int:
-    kwargs = {
-        "primes": PrimeSeq.parse(args.primes) if args.primes else PrimeSeq.default(),
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "radius": args.radius,
-        "level": args.level,
-        "samples": args.samples,
-    }
-    if args.size_guard is not None:
-        kwargs["size_guard"] = args.size_guard
-    config = SuiteConfig(**kwargs)
+    with _reading_input():
+        kwargs = {
+            "primes": _primes(args),
+            "seed": args.seed,
+            "tolerance": args.tolerance,
+            "radius": args.radius,
+            "level": args.level,
+            "samples": args.samples,
+        }
+        if args.size_guard is not None:
+            kwargs["size_guard"] = args.size_guard
+        config = SuiteConfig(**kwargs)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = [run_suite(name, config) for name in names]
     if args.out is not None:
@@ -145,7 +166,7 @@ def main(argv=None) -> int:
         if args.command == "elem":
             return _run_elem(args)
         return _run_verify(args)
-    except (ValueError, IndexError) as exc:
+    except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -225,8 +225,8 @@ def _convolve_block(
     acc = np.zeros(p**3, dtype=dtype)
     for w, na in left:
         acc[_point_codes((right_pts + w.g0.k.block(n)) % p, p)] += na * right_num
-    pts = block_points(p)
-    return {tower.h(n, pts[c]): int(acc[c]) for c in np.flatnonzero(acc).tolist()}
+    words = tower.block(n)
+    return {words[c]: int(acc[c]) for c in np.flatnonzero(acc).tolist()}
 
 
 def fourier(tower: Tower, n: int, f) -> GroupAlgebraElement:
@@ -237,12 +237,10 @@ def fourier(tower: Tower, n: int, f) -> GroupAlgebraElement:
     p = tower.primes.p(n)
     values = _as_values(p, f)
     coeff = transform_matrix(p) @ values
-    pts = block_points(p)
     out: dict[GroupWord, object] = {}
-    for i, x in enumerate(pts):
-        c = complex(coeff[i])
+    for w, c in zip(tower.block(n), coeff.tolist()):
         if c != 0:
-            out[tower.h(n, x)] = c
+            out[w] = c
     return GroupAlgebraElement(tower, out)
 
 
@@ -250,10 +248,9 @@ def inverse_fourier(element: GroupAlgebraElement, n: int) -> np.ndarray:
     """Coefficients back to the function sum_x c(x) chi_x, over lex points."""
     tower = element.tower
     p = tower.primes.p(n)
-    pts = block_points(p)
     coeff = np.zeros(p**3, dtype=complex)
-    for i, x in enumerate(pts):
-        c = element.coefficient(tower.h(n, x))
+    for i, w in enumerate(tower.block(n)):
+        c = element.coefficient(w)
         if c:
             coeff[i] = complex(c)
     pts_arr = _point_array(p)
@@ -286,8 +283,5 @@ def check_intertwiner(tower: Tower, g: LambdaMatrix, n: int) -> float:
 
 def projection_en(tower: Tower, n: int) -> GroupAlgebraElement:
     """The averaging idempotent of block n: p^{-3} sum over the block basis."""
-    p = tower.primes.p(n)
-    w = Fraction(1, p**3)
-    return GroupAlgebraElement(
-        tower, {tower.h(n, x): w for x in block_points(p)}
-    )
+    words = tower.block(n)
+    return GroupAlgebraElement(tower, dict.fromkeys(words, Fraction(1, len(words))))

@@ -124,6 +124,8 @@ class KVector:
 
     def act(self, g: LambdaMatrix, primes: PrimeSeq) -> "KVector":
         """Blockwise matrix action: the same matrix applied to every block."""
+        if not self.items:
+            return self
         out = []
         for n, c in self.items:
             v = g.apply(c, primes.p(n))
@@ -136,6 +138,7 @@ class KVector:
 
 
 ZERO_K = KVector(())
+_ID_ROWS = IDENTITY_MATRIX.rows
 
 
 @dataclass(frozen=True)
@@ -151,10 +154,10 @@ class G0Element:
 
     @property
     def is_identity(self) -> bool:
-        return self.k.is_zero and self.lam.is_identity
+        return not self.k.items and self.lam.rows == _ID_ROWS
 
     def mul(self, other: "G0Element", primes: PrimeSeq) -> "G0Element":
-        if self.lam.is_identity:
+        if self.lam.rows == _ID_ROWS:
             return G0Element(self.k.add(other.k, primes), other.lam)
         return G0Element(self.k.add(other.k.act(self.lam, primes), primes), self.lam * other.lam)
 

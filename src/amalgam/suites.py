@@ -5,7 +5,8 @@ randomness from one seeded stream, so two runs with the same config are
 byte-identical apart from the elapsed_s timing fields.  Outcomes are
 "pass", "fail", or "skip" (skips carry a reason and never fail a run);
 the process-level contract is exit 0 when nothing failed, 1 otherwise,
-and 2 for unusable configuration.
+and 2 for unusable configuration.  An exception raised inside a check
+is that check's failure, never a configuration error.
 """
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -148,7 +151,8 @@ class Report:
         lines = []
         for c in self.checks:
             outcome = c["outcome"].upper()
-            reason = f"  ({c['reason']})" if "reason" in c else ""
+            key = "reason" if "reason" in c else "error"
+            reason = f"  ({c[key]})" if key in c else ""
             lines.append(f"[{outcome}] {self.suite}:{c['check']}{reason}")
         return lines
 
@@ -171,12 +175,21 @@ class _Recorder:
         return record
 
     def run(self, check: str, parameters: dict, fn) -> dict:
-        """Run fn() -> (outcome, extra) with the size guard mapped to a skip."""
+        """Run fn() -> (outcome, extra) with the size guard mapped to a skip.
+
+        Any other exception is recorded as the check's failure, with an
+        `error` field "<Type>: <message>" and the traceback on stderr, so
+        the suite runs its remaining checks.
+        """
         started = time.perf_counter()
         try:
             outcome, extra = fn()
         except SizeGuardExceeded as exc:
             return self.add(check, parameters, "skip", started, reason=str(exc))
+        except Exception as exc:
+            traceback.print_exc(file=sys.stderr)
+            error = f"{type(exc).__name__}: {exc}"
+            return self.add(check, parameters, "fail", started, error=error)
         return self.add(check, parameters, outcome, started, **extra)
 
 

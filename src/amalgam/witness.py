@@ -15,7 +15,6 @@ coefficients are rational.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,12 +127,8 @@ def xi(tower: Tower, n: int) -> L2Vector:
     basis vector is p^{-3/2} (exactly p^{-3} after squaring, see
     `xi_overlap_squared`).
     """
-    p = tower.primes.p(n)
-    coeff = p ** -1.5
-    out = {}
-    for triple in itertools.product(range(p), repeat=3):
-        out[tower.h(n, triple)] = coeff
-    return L2Vector(tower, out)
+    coeff = tower.primes.p(n) ** -1.5
+    return L2Vector(tower, dict.fromkeys(tower.block(n), coeff))
 
 
 def xi_overlap_squared(tower: Tower, n: int) -> Fraction:
@@ -160,9 +155,8 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
         )
     if not tower.membership(g, f"G{cutoff}"):
         raise ValueError(f"conjugator must lie at level <= {cutoff}, got level {g.level}")
-    before = frozenset(tower.h(n, triple) for triple in itertools.product(range(tower.primes.p(n)), repeat=3))
-    after = frozenset(tower.conj(k, g) for k in before)
-    return after == before
+    block = tower.block(n)
+    return frozenset(tower.conj(k, g) for k in block) == frozenset(block)
 
 
 def block_stabilized(tower: Tower, n: int, g: GroupWord) -> bool:
@@ -173,10 +167,10 @@ def block_stabilized(tower: Tower, n: int, g: GroupWord) -> bool:
     a finite group of the same order, hence equals it.  Equivalent to
     check_xi_invariance without the domain restriction.
     """
+    block = tower.block(n)
     p = tower.primes.p(n)
-    for axis in range(3):
-        unit = tuple(1 if i == axis else 0 for i in range(3))
-        image = tower.conj(tower.h(n, unit), g)
+    for unit in (block[p * p], block[p], block[1]):
+        image = tower.conj(unit, g)
         if not (tower.in_k(image) and image.g0.k.support in ((), (n,))):
             return False
     return True

@@ -14,9 +14,20 @@ identity (r >= 1), which is what makes equality decidable by rewriting
 a * b^{-1} to its reduced form.  No coset transversal is chosen, so two
 reduced words may still denote the same element; `Tower.eq` is the
 equality contract.
+
+Each tower builds exactly one identity word (`Tower.identity()`): every
+operation that reduces to the identity returns that object, so
+`GroupWord.is_identity` is an identity test on the object.  `Tower.inv`
+caches its result on the word it inverted, one way only: the inverse of
+that result is reduced afresh when asked for, never short-circuited back
+to the original word.  Without a canonical form a reduced inverse of the
+inverse may be a different representation of the same element, and a
+two-way cache would let the order of earlier calls decide which one
+later results (and reports) are built from.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -43,7 +54,10 @@ class GroupWord:
     """Immutable reduced word.  Build these through a Tower, never directly.
 
     Structural equality/hash compare the representation, not the group
-    element; use Tower.eq for element equality.
+    element; use Tower.eq for element equality.  The tower's single
+    identity word is the only identity word, and the word remembers its
+    inverse once `Tower.inv` has computed it (one way only; see the
+    module docstring).
     """
 
     tower: "Tower" = field(compare=False, repr=False)
@@ -54,7 +68,7 @@ class GroupWord:
 
     @property
     def is_identity(self) -> bool:
-        return self.level == 0 and self.g0.is_identity
+        return self is self.tower._identity
 
     @property
     def syllable_count(self) -> int:
@@ -68,11 +82,17 @@ class GroupWord:
         return self.tower.inv(self)
 
     def __pow__(self, n: int) -> "GroupWord":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.tower.identity()
-        for _ in range(n):
-            out = self.tower.mul(out, self)
+        """Integer power by repeated squaring: O(log |n|) products."""
+        tower = self.tower
+        base = tower.inv(self) if n < 0 else self
+        n = abs(n)
+        out = tower.identity()
+        while n:
+            if n & 1:
+                out = tower.mul(out, base)
+            n >>= 1
+            if n:
+                base = tower.mul(base, base)
         return out
 
     def format(self) -> str:
@@ -109,6 +129,7 @@ class Tower:
         self._identity = GroupWord(tower=self, level=0, g0=G0Element.identity())
         self._ball_cache: dict[int, tuple[GroupWord, ...]] = {}
         self._alphabet_cache: dict[tuple[int, int], tuple[GroupWord, ...]] = {}
+        self._block_cache: dict[int, tuple[GroupWord, ...]] = {}
 
     # ------------------------------------------------------------------
     # element constructors
@@ -124,6 +145,19 @@ class Tower:
     def h(self, n: int, coords: Iterable[int]) -> GroupWord:
         """Pure coordinate element supported on block n."""
         return self.g0(G0Element(KVector.single(self.primes, n, coords), IDENTITY_MATRIX))
+
+    def block(self, n: int) -> tuple[GroupWord, ...]:
+        """The p^3 words h(n, x) of block n, x in lexicographic order.
+
+        Index a*p^2 + b*p + c holds h(n; a, b, c); index 0 is the identity.
+        Memoized per tower.
+        """
+        if n not in self._block_cache:
+            p = self.primes.p(n)
+            self._block_cache[n] = tuple(
+                self.h(n, x) for x in itertools.product(range(p), repeat=3)
+            )
+        return self._block_cache[n]
 
     def k_vector(self, blocks: dict[int, Iterable[int]]) -> GroupWord:
         """Pure coordinate element with several blocks."""
@@ -278,8 +312,10 @@ class Tower:
     # group operations
 
     def mul(self, a: GroupWord, b: GroupWord) -> GroupWord:
-        self._check(a)
-        self._check(b)
+        if a.tower is not self:
+            self._check(a)
+        if b.tower is not self:
+            self._check(b)
         if a.level == 0 and b.level == 0:
             return self.g0(a.g0.mul(b.g0, self.primes))
         level = max(a.level, b.level)
@@ -297,17 +333,32 @@ class Tower:
         return self._build(out, level)
 
     def inv(self, a: GroupWord) -> GroupWord:
-        self._check(a)
+        """The reduced inverse, cached on `a` when `a` belongs to this tower.
+
+        The cache is one way (see the module docstring): the result does
+        not learn that `a` is its inverse.
+        """
+        own = a.tower is self
+        if own:
+            cached = a.__dict__.get("_inv")
+            if cached is not None:
+                return cached
+        else:
+            self._check(a)
         if a.level == 0:
-            return self.g0(a.g0.inv(self.primes))
-        level = a.level
-        out: list = []
-        for kind, val in reversed(self._tokens(a, level)):
-            if kind == _BASE:
-                self._push_base(out, self.inv(val))
-            else:
-                self._push_stable(out, -val, level)
-        return self._build(out, level)
+            out = self.g0(a.g0.inv(self.primes))
+        else:
+            level = a.level
+            tokens: list = []
+            for kind, val in reversed(self._tokens(a, level)):
+                if kind == _BASE:
+                    self._push_base(tokens, self.inv(val))
+                else:
+                    self._push_stable(tokens, -val, level)
+            out = self._build(tokens, level)
+        if own:
+            object.__setattr__(a, "_inv", out)
+        return out
 
     def conj(self, g: GroupWord, h: GroupWord) -> GroupWord:
         """The conjugate h * g * h^{-1}, reduced."""

@@ -6,8 +6,10 @@ import re
 
 import pytest
 
+from amalgam import suites
 from amalgam.cli import main
 from amalgam.suites import SUITE_NAMES
+from amalgam.words import Tower
 
 _ELAPSED = re.compile(r'"elapsed_s": [0-9.e+-]+')
 
@@ -70,6 +72,13 @@ def test_bad_grammar_exits_2(capsys):
     code, _, err = run(capsys, "elem", "reduce", "h(0;1,2)")
     assert code == 2
     assert "error:" in err
+
+
+def test_oversized_power_exits_2(capsys):
+    for exponent in ("20000", "100000000"):
+        code, out, err = run(capsys, "elem", "reduce", f"L[2,1,0;1,1,0;0,0,1]^{exponent}")
+        assert code == 2 and out == ""
+        assert "element too large" in err
 
 
 def test_bad_primes_exit_2(capsys):
@@ -160,3 +169,43 @@ def test_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nope"])
     assert exc.value.code == 2
+
+
+def test_verify_bad_primes_exit_2(capsys):
+    code, _, err = run(capsys, "verify", "bound", "--primes", "2,4")
+    assert code == 2
+    assert "not prime" in err
+
+
+def test_error_inside_a_check_fails_that_check_and_exits_1(capsys, monkeypatch, tmp_path):
+    # an internal IndexError is not bad input: the check fails, the run goes on
+    def broken(*args, **kwargs):
+        raise IndexError("prime index 7 not configured")
+
+    monkeypatch.setattr(suites, "tail_remainder_bound", broken)
+    out_file = tmp_path / "bound.json"
+    code, out, err = run(
+        capsys, "verify", "bound", "--primes", "2,3,5", "--samples", "5", "--out", str(out_file)
+    )
+    assert code == 1
+    assert out.splitlines()[-1].startswith("FAIL:")
+    assert "[FAIL] bound:truncated-trace-product  (IndexError: prime index 7" in out
+    assert "Traceback" in err
+    checks = json.loads(out_file.read_text())["checks"]
+    broken_checks = [c for c in checks if c["check"] == "truncated-trace-product"]
+    assert broken_checks
+    for c in broken_checks:
+        assert c["outcome"] == "fail"
+        assert c["error"] == "IndexError: prime index 7 not configured"
+    assert [c["outcome"] for c in checks if c not in broken_checks] == ["pass", "pass"]
+
+
+def test_error_while_computing_an_element_is_not_bad_input(monkeypatch):
+    # parsing succeeded, so an IndexError from the arithmetic is a fault to
+    # surface, not exit code 2
+    def broken(self, g, h):
+        raise IndexError("prime index 7 not configured")
+
+    monkeypatch.setattr(Tower, "conj", broken)
+    with pytest.raises(IndexError, match="prime index 7"):
+        main(["elem", "conj", "h(1;1,0,0)", "L[1,0,0;1,1,0;0,0,1]"])

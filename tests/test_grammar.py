@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from amalgam.grammar import (
+    MAX_ENTRY_BITS,
     ElementSyntaxError,
     UnconfiguredPrimeError,
     format_element,
@@ -67,6 +68,35 @@ def test_syntax_error_positions(tw: Tower):
 def test_rejects_non_unimodular_matrix(tw: Tower):
     with pytest.raises(ValueError, match="determinant"):
         parse_element(tw, "L[2,0,0;0,1,0;0,0,1]")
+
+
+HYPERBOLIC = "L[2,1,0;1,1,0;0,0,1]"
+
+
+def _largest_entry_bits(word) -> int:
+    return max(abs(x).bit_length() for row in word.g0.lam.rows for x in row)
+
+
+def test_rejects_elements_beyond_the_entry_cap(tw: Tower):
+    # entries of HYPERBOLIC^m have about 1.39*m bits
+    for m in (2000, -2000):
+        assert _largest_entry_bits(parse_element(tw, f"{HYPERBOLIC}^{m}")) <= MAX_ENTRY_BITS
+    for text in (
+        f"{HYPERBOLIC}^20000",
+        f"{HYPERBOLIC}^-20000",
+        f"{HYPERBOLIC}^100000000",
+        f"{HYPERBOLIC}^2000 * {HYPERBOLIC}^2000",
+        f"t(1) * {HYPERBOLIC}^1500 * t(1) * {HYPERBOLIC}^1500",
+        "L[1,1,0;0,1,0;0,0,1]^" + "9" * 1000,
+        f"L[1,{2**3001},0;0,1,0;0,0,1]",
+    ):
+        with pytest.raises(ElementSyntaxError, match="too large"):
+            parse_element(tw, text)
+    # unipotent and finite-order powers grow slowly and stay accepted
+    assert parse_element(tw, "L[1,1,0;0,1,0;0,0,1]^1000000000000").format() == (
+        "L[1,1000000000000,0;0,1,0;0,0,1]"
+    )
+    assert parse_element(tw, "L[0,-1,0;1,0,0;0,0,1]^99999999999999").format() == "L[0,1,0;-1,0,0;0,0,1]"
 
 
 def test_rejects_unconfigured_block(tw: Tower):

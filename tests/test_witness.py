@@ -1,6 +1,7 @@
 """Witness vectors: block-uniform states, invariance, and orthogonality."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -201,3 +202,25 @@ def test_invariant_vector_gives_zero_residual(tw: Tower):
     assert report.passed
     assert report.lhs_squared == 0
     assert report.rhs_squared == 0
+
+
+def test_full_xi_check_agrees_with_block_stabilized(tw: Tower):
+    # every letter at every (cutoff, n) the xi suite uses on these primes;
+    # every pair at (0, 1), and a seeded sample of pairs at the larger
+    # blocks, where the full key-set check costs p^3 conjugations a word
+    rng = random.Random(61)
+    for cutoff, n in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4)):
+        letters = tw.alphabet(cutoff)
+        pairs = [(a, b) for a in letters for b in letters]
+        if (cutoff, n) != (0, 1):
+            pairs = rng.sample(pairs, 30)
+        words = list(letters) + [tw.mul(a, b) for a, b in pairs]
+        for g in words:
+            assert check_xi_invariance(tw, cutoff, n, g) == block_stabilized(tw, n, g)
+
+
+def test_xi_is_uniform_over_the_block_words(tw: Tower):
+    for n in range(3):
+        v = xi(tw, n)
+        assert list(v.coeffs) == list(tw.block(n))
+        assert set(v.coeffs.values()) == {tw.primes.p(n) ** -1.5}

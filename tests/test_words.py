@@ -5,6 +5,9 @@ import random
 
 import pytest
 
+from amalgam.fourier import block_points
+from amalgam.grammar import parse_element
+from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
 from amalgam.words import Tower
@@ -209,3 +212,93 @@ def test_conjugate_growth_monotone_everywhere(tw: Tower):
             continue
         profile = tw.conjugate_growth_profile(w, 2)
         assert all(a <= b for a, b in zip(profile, profile[1:]))
+
+
+def _sampled_words(tw: Tower, seed: int) -> list:
+    sampler = Sampler(tw, seed=seed)
+    words = [sampler.word(5, level_cap=level) for level in (0, 1, 2, 3) for _ in range(25)]
+    words += [sampler.reduced_word(level, syllables=s) for level in (1, 2, 3) for s in (1, 2, 3)]
+    return words + [tw.identity(), tw.lam(ELEMENTARY_GENERATORS[0]), tw.stable(3, -2)]
+
+
+def test_inverse_cached_one_way_per_tower(tw: Tower):
+    fresh = Tower(tw.primes)  # same primes, its own caches
+    for w in _sampled_words(tw, seed=53):
+        inv = tw.inv(w)
+        assert tw.inv(w) is inv
+        # w belongs to tw, so fresh neither reads nor fills its cache
+        uncached = fresh.inv(w)
+        assert uncached.tower is fresh
+        assert uncached == inv and uncached.format() == inv.format()
+        assert tw.mul(w, inv).is_identity
+        # the cache is one way: inverting the inverse reduces it again
+        back = tw.inv(inv)
+        assert back == fresh.inv(uncached)
+        if not w.is_identity:
+            assert back is not w
+            assert tw.inv(w) is inv
+
+
+def test_is_identity_is_the_towers_identity_word(tw: Tower):
+    e = tw.identity()
+    assert tw.stable(2, 0) is e and tw.h(1, (3, 0, 0)) is e and tw.lam(IDENTITY_MATRIX) is e
+    for a in _sampled_words(tw, seed=59):
+        for w in (a, tw.mul(a, tw.inv(a)), tw.mul(tw.inv(a), a), tw.mul(a, a), tw.conj(a, a)):
+            assert w.is_identity == tw.eq(w, e) == (w.format() == "e")
+            assert w.is_identity == (w is e)
+
+
+def test_block_words_in_lex_order_and_memoized(tw: Tower):
+    for n in range(len(tw.primes)):
+        p = tw.primes.p(n)
+        block = tw.block(n)
+        assert list(block) == [tw.h(n, x) for x in block_points(p)]
+        assert tw.block(n) is block
+        assert block[0] is tw.identity()
+        assert (block[p * p], block[p], block[1]) == (
+            tw.h(n, (1, 0, 0)), tw.h(n, (0, 1, 0)), tw.h(n, (0, 0, 1))
+        )
+    assert Tower(tw.primes).block(1) is not tw.block(1)
+
+
+def _linear_powers(tw: Tower, atom, count: int) -> list:
+    """atom^0 .. atom^count as the plain left-to-right product."""
+    out = [tw.identity()]
+    for _ in range(count):
+        out.append(tw.mul(out[-1], atom))
+    return out
+
+
+def test_atom_power_formats_like_linear_product(tw: Tower):
+    atoms = [
+        "e", "h(0;1,0,0)", "h(2;1,4,2)", "L[1,2,0;0,1,0;0,0,1]", "L[2,1,0;1,1,0;0,0,1]",
+        "t(1)", "t(3)",
+    ]
+    for text in atoms:
+        atom = parse_element(tw, text)
+        up = _linear_powers(tw, atom, 300)
+        down = _linear_powers(tw, tw.inv(atom), 300)
+        for m in range(301):
+            assert (atom**m).format() == up[m].format(), (text, m)
+            assert (atom**-m).format() == down[m].format(), (text, -m)
+            assert parse_element(tw, f"{text}^{m}").format() == up[m].format()
+
+
+def test_power_makes_logarithmically_many_products():
+    tower = Tower(PRIMES)
+    calls = 0
+    mul = tower.mul
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    tower.mul = counted
+    m = 1_000_000
+    t1 = tower.stable(1)
+    assert t1**m == tower.stable(1, m)
+    assert calls <= 2 * m.bit_length()
+    calls = 0
+    assert (t1**-m).format() == f"t(1)^{-m}"
+    assert calls <= 2 * m.bit_length()
