@@ -2,18 +2,28 @@
 
 The abelian normal part is a restricted direct sum over block index n of
 rank-3 vectors mod p_n; the matrix group acts on every block at once.
+
+Validation happens at the boundary: `KVector.from_mapping`/`single` check
+every block index against the configured primes and reduce the
+coordinates, and `G0Element(k, lam)` takes parts built that way.  The
+results of `KVector.add`/`act`/`neg` and `G0Element.mul`/`inv` only ever
+carry indices and reduced coordinates of such operands, so they are built
+by the private `_kvec` and `_g0` constructors without re-checking, and
+read the primes as `primes.primes[n]` rather than through `PrimeSeq.p`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .matrices import IDENTITY_MATRIX, LambdaMatrix
+from .matrices import IDENTITY_MATRIX, LambdaMatrix, _ID_ROWS
 from .primes import PrimeSeq
 
 __all__ = ["HnVector", "KVector", "G0Element", "ZERO_K"]
 
 Triple = tuple[int, int, int]
+
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,7 @@ class KVector:
         if not a:
             return other
         # merge the two sorted supports
+        ps = primes.primes
         out: list[tuple[int, Triple]] = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -105,7 +116,7 @@ class KVector:
                 out.append(b[j])
                 j += 1
             else:
-                p = primes.p(na)
+                p = ps[na]
                 s = ((ca[0] + cb[0]) % p, (ca[1] + cb[1]) % p, (ca[2] + cb[2]) % p)
                 if s != (0, 0, 0):
                     out.append((na, s))
@@ -113,32 +124,42 @@ class KVector:
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return KVector(tuple(out))
+        return _kvec(tuple(out))
 
     def neg(self, primes: PrimeSeq) -> "KVector":
+        ps = primes.primes
         out = []
         for n, c in self.items:
-            p = primes.p(n)
+            p = ps[n]
             out.append((n, ((-c[0]) % p, (-c[1]) % p, (-c[2]) % p)))
-        return KVector(tuple(out))
+        return _kvec(tuple(out))
 
     def act(self, g: LambdaMatrix, primes: PrimeSeq) -> "KVector":
         """Blockwise matrix action: the same matrix applied to every block."""
         if not self.items:
             return self
+        ps = primes.primes
         out = []
         for n, c in self.items:
-            v = g.apply(c, primes.p(n))
+            v = g.apply(c, ps[n])
             if v != (0, 0, 0):
                 out.append((n, v))
-        return KVector(tuple(out))
+        return _kvec(tuple(out))
 
     def supported_at_or_above(self, cutoff: int) -> bool:
-        return all(n >= cutoff for n, _ in self.items)
+        # items are sorted by index, so the lowest block decides
+        items = self.items
+        return not items or items[0][0] >= cutoff
 
 
-ZERO_K = KVector(())
-_ID_ROWS = IDENTITY_MATRIX.rows
+def _kvec(items: tuple[tuple[int, Triple], ...]) -> KVector:
+    """Build a vector from sorted, reduced, nonzero blocks without re-checking."""
+    v = object.__new__(KVector)
+    _set(v, "items", items)
+    return v
+
+
+ZERO_K = _kvec(())
 
 
 @dataclass(frozen=True)
@@ -157,10 +178,24 @@ class G0Element:
         return not self.k.items and self.lam.rows == _ID_ROWS
 
     def mul(self, other: "G0Element", primes: PrimeSeq) -> "G0Element":
-        if self.lam.rows == _ID_ROWS:
-            return G0Element(self.k.add(other.k, primes), other.lam)
-        return G0Element(self.k.add(other.k.act(self.lam, primes), primes), self.lam * other.lam)
+        # identity parts cost nothing: 0 is not acted on, and I*M = M, M*I = M
+        lam, k = self.lam, other.k
+        if lam.rows == _ID_ROWS:
+            return _g0(self.k.add(k, primes), other.lam)
+        if k.items:
+            k = k.act(lam, primes)
+        if other.lam.rows != _ID_ROWS:
+            lam = lam * other.lam
+        return _g0(self.k.add(k, primes), lam)
 
     def inv(self, primes: PrimeSeq) -> "G0Element":
         lam_inv = self.lam.inverse()
-        return G0Element(self.k.neg(primes).act(lam_inv, primes), lam_inv)
+        return _g0(self.k.neg(primes).act(lam_inv, primes), lam_inv)
+
+
+def _g0(k: KVector, lam: LambdaMatrix) -> G0Element:
+    """Build a pair from already-valid parts without re-checking."""
+    e = object.__new__(G0Element)
+    _set(e, "k", k)
+    _set(e, "lam", lam)
+    return e

@@ -24,6 +24,14 @@ to the original word.  Without a canonical form a reduced inverse of the
 inverse may be a different representation of the same element, and a
 two-way cache would let the order of earlier calls decide which one
 later results (and reports) are built from.
+
+Validation happens at the boundary: `Tower.h`, `k_vector`, `lam` and the
+element grammar build their parts through the checking constructors, and
+`Tower.mul`/`inv` refuse words of a tower with other primes.  Results of
+arithmetic are built from such parts by the private `_word` constructor
+without re-checking.  A level-0 product with an identity operand returns
+the other operand when it belongs to this tower: level-0 words are
+canonical, so this is the same element in the same representation.
 """
 from __future__ import annotations
 
@@ -36,6 +44,7 @@ from .matrices import (
     ELEMENTARY_GENERATORS,
     IDENTITY_MATRIX,
     LambdaMatrix,
+    _ID_ROWS,
     generator_ball,
 )
 from .primes import PrimeSeq
@@ -47,6 +56,8 @@ __all__ = ["GroupWord", "Tower"]
 # token kinds for the rewriting engine
 _BASE = 0
 _STABLE = 1
+
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -107,8 +118,19 @@ class GroupWord:
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.level, self.g0, self.factors, self.exponents))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
+
+
+def _word(tower: "Tower", level: int, g0=None, factors=(), exponents=()) -> GroupWord:
+    """Build a word from already-reduced parts without the dataclass init."""
+    w = object.__new__(GroupWord)
+    _set(w, "tower", tower)
+    _set(w, "level", level)
+    _set(w, "g0", g0)
+    _set(w, "factors", factors)
+    _set(w, "exponents", exponents)
+    return w
 
 
 _SUBGROUP_RE = re.compile(r"^(K|G)_?(\d+)$|^(K)$|^(Lambda|L)$")
@@ -126,7 +148,7 @@ class Tower:
         if primes is None:
             primes = PrimeSeq.default()
         self.primes = _primes_mod.as_prime_seq(primes)
-        self._identity = GroupWord(tower=self, level=0, g0=G0Element.identity())
+        self._identity = _word(self, 0, G0Element.identity())
         self._ball_cache: dict[int, tuple[GroupWord, ...]] = {}
         self._alphabet_cache: dict[tuple[int, int], tuple[GroupWord, ...]] = {}
         self._block_cache: dict[int, tuple[GroupWord, ...]] = {}
@@ -138,9 +160,9 @@ class Tower:
         return self._identity
 
     def g0(self, element: G0Element) -> GroupWord:
-        if element.is_identity:
+        if not element.k.items and element.lam.rows == _ID_ROWS:
             return self._identity
-        return GroupWord(tower=self, level=0, g0=element)
+        return _word(self, 0, element)
 
     def h(self, n: int, coords: Iterable[int]) -> GroupWord:
         """Pure coordinate element supported on block n."""
@@ -176,9 +198,7 @@ class Tower:
         if power == 0:
             return self._identity
         e = self._identity
-        return GroupWord(
-            tower=self, level=level, factors=(e, e), exponents=(power,)
-        )
+        return _word(self, level, None, (e, e), (power,))
 
     # ------------------------------------------------------------------
     # membership predicates (arguments must be reduced words, which every
@@ -213,21 +233,15 @@ class Tower:
     # ------------------------------------------------------------------
     # the rewriting engine
 
-    def _tokens(self, w: GroupWord, level: int) -> list[tuple[int, object]]:
-        """Flatten `w` into base/stable tokens relative to `level`."""
-        if w.level == level:
-            out: list[tuple[int, object]] = []
-            if not w.factors[0].is_identity:
-                out.append((_BASE, w.factors[0]))
-            for i, m in enumerate(w.exponents):
-                out.append((_STABLE, m))
-                x = w.factors[i + 1]
-                if not x.is_identity:
-                    out.append((_BASE, x))
-            return out
-        if w.is_identity:
-            return []
-        return [(_BASE, w)]
+    def _feed(self, out: list, w: GroupWord, level: int) -> None:
+        """Push the syllables of `w`, relative to `level`, onto `out`."""
+        if w.level < level:
+            self._push_base(out, w)
+            return
+        self._push_base(out, w.factors[0])
+        for m, x in zip(w.exponents, w.factors[1:]):
+            self._push_stable(out, m, level)
+            self._push_base(out, x)
 
     def _push_base(self, out: list, w: GroupWord) -> None:
         if w.is_identity:
@@ -297,12 +311,7 @@ class Tower:
                 expect_base = True
         if expect_base:
             factors.append(self._identity)
-        return GroupWord(
-            tower=self,
-            level=level,
-            factors=tuple(factors),
-            exponents=tuple(exponents),
-        )
+        return _word(self, level, None, tuple(factors), tuple(exponents))
 
     def _check(self, w: GroupWord) -> None:
         if w.tower is not self and w.tower.primes != self.primes:
@@ -317,19 +326,17 @@ class Tower:
         if b.tower is not self:
             self._check(b)
         if a.level == 0 and b.level == 0:
+            # level-0 words are canonical, so an identity factor hands
+            # back the other operand itself when it is one of ours
+            if a is a.tower._identity and b.tower is self:
+                return b
+            if b is b.tower._identity and a.tower is self:
+                return a
             return self.g0(a.g0.mul(b.g0, self.primes))
         level = max(a.level, b.level)
         out: list = []
-        for tok in self._tokens(a, level):
-            if tok[0] == _BASE:
-                self._push_base(out, tok[1])
-            else:
-                self._push_stable(out, tok[1], level)
-        for tok in self._tokens(b, level):
-            if tok[0] == _BASE:
-                self._push_base(out, tok[1])
-            else:
-                self._push_stable(out, tok[1], level)
+        self._feed(out, a, level)
+        self._feed(out, b, level)
         return self._build(out, level)
 
     def inv(self, a: GroupWord) -> GroupWord:
@@ -350,14 +357,15 @@ class Tower:
         else:
             level = a.level
             tokens: list = []
-            for kind, val in reversed(self._tokens(a, level)):
-                if kind == _BASE:
-                    self._push_base(tokens, self.inv(val))
-                else:
-                    self._push_stable(tokens, -val, level)
+            for i in reversed(range(len(a.factors))):
+                x = a.factors[i]
+                if not x.is_identity:
+                    self._push_base(tokens, self.inv(x))
+                if i:
+                    self._push_stable(tokens, -a.exponents[i - 1], level)
             out = self._build(tokens, level)
         if own:
-            object.__setattr__(a, "_inv", out)
+            _set(a, "_inv", out)
         return out
 
     def conj(self, g: GroupWord, h: GroupWord) -> GroupWord:

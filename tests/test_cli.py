@@ -93,6 +93,20 @@ def test_unconfigured_block_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("elem", "reduce", "h(16;1,0,0)"),
+        ("elem", "mul", "h(2;1,0,0)", "h(3;1,0,0)", "--primes", "2,3,5"),
+    ],
+)
+def test_unconfigured_index_is_refused_when_read(capsys, argv):
+    # vector arithmetic trusts its indices, so the parser must check them
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "not configured" in err
+
+
 def test_verify_single_suite_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "bound", "--primes", "2,3,5", "--samples", "25"

@@ -7,10 +7,11 @@ import pytest
 
 from amalgam.fourier import block_points
 from amalgam.grammar import parse_element
-from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX
+from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, LambdaMatrix, generator_ball
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
-from amalgam.words import Tower
+from amalgam.semidirect import G0Element, KVector
+from amalgam.words import GroupWord, Tower
 
 PRIMES = PrimeSeq.parse("2,3,5")
 
@@ -302,3 +303,93 @@ def test_power_makes_logarithmically_many_products():
     calls = 0
     assert (t1**-m).format() == f"t(1)^{-m}"
     assert calls <= 2 * m.bit_length()
+
+
+def _law(primes: PrimeSeq, left: tuple, right: tuple) -> tuple:
+    """(k, g)(k', g') = (k + g k', g g') on plain block dicts and row tuples."""
+    (k, g), (k2, g2) = left, right
+    out = {n: list(c) for n, c in k.items()}
+    for n, c in k2.items():
+        moved = [sum(g[i][j] * c[j] for j in range(3)) for i in range(3)]
+        out[n] = [a + b for a, b in zip(out.get(n, (0, 0, 0)), moved)]
+    rows = tuple(
+        tuple(sum(g[i][m] * g2[m][j] for m in range(3)) for j in range(3)) for i in range(3)
+    )
+    return {n: tuple(x % primes.p(n) for x in c) for n, c in out.items()}, rows
+
+
+def _public_g0(tw: Tower, k: dict, rows: tuple) -> G0Element:
+    return G0Element(KVector.from_mapping(tw.primes, k), LambdaMatrix(rows))
+
+
+def test_level0_product_follows_the_semidirect_law(tw: Tower):
+    rng = random.Random(61)
+    ball = [m.rows for m in generator_ball(2)]
+    ident = IDENTITY_MATRIX.rows
+
+    def sample() -> tuple:
+        blocks = rng.sample(range(len(tw.primes)), rng.randint(0, 3))
+        k = {n: tuple(rng.randrange(-3, 7) for _ in range(3)) for n in blocks}
+        return k, rng.choice([ident, ident] + ball)
+
+    for _ in range(400):
+        left, right = sample(), sample()
+        if rng.random() < 0.15:
+            left = ({}, ident)
+        if rng.random() < 0.15:
+            right = ({}, ident)
+        if rng.random() < 0.15:
+            inv = tw.inv(tw.g0(_public_g0(tw, *left))).g0
+            right = (dict(inv.k.items), inv.lam.rows)
+        a, b = tw.g0(_public_g0(tw, *left)), tw.g0(_public_g0(tw, *right))
+        # the dataclass constructor, not the tower, builds the expected word
+        expected = GroupWord(tower=tw, level=0, g0=_public_g0(tw, *_law(tw.primes, left, right)))
+        prod = tw.mul(a, b)
+        assert prod == expected and hash(prod) == hash(expected)
+        assert prod.format() == expected.format() and prod.tower is tw
+        assert (prod is tw.identity()) == (expected.format() == "e")
+        # pairs that cancel
+        assert tw.mul(a, tw.inv(a)) is tw.identity()
+        assert tw.mul(tw.inv(a), a) is tw.identity()
+
+
+def test_identity_shortcut_keeps_the_product_in_this_tower(tw: Tower):
+    other = Tower(tw.primes)
+    for text in ("h(1;1,2,0)", "L[1,2,0;0,1,0;0,0,1]", "h(0;1,0,0) * L[1,0,0;1,1,0;0,0,1]", "e"):
+        mine, theirs = parse_element(tw, text), parse_element(other, text)
+        for prod in (
+            tw.mul(tw.identity(), theirs), tw.mul(theirs, tw.identity()),
+            tw.mul(other.identity(), theirs), tw.mul(theirs, other.identity()),
+            tw.mul(other.identity(), mine), tw.mul(mine, other.identity()),
+        ):
+            assert prod.tower is tw
+            assert prod == mine and prod.format() == text
+        assert tw.mul(tw.identity(), mine) is mine and tw.mul(mine, tw.identity()) is mine
+
+
+def test_arithmetic_results_hash_like_validated_twins(tw: Tower):
+    for w in _sampled_words(tw, seed=67):
+        for x in (w, tw.inv(w), tw.mul(w, w)):
+            twin = GroupWord(
+                tower=tw, level=x.level, g0=x.g0, factors=x.factors, exponents=x.exponents
+            )
+            assert x == twin and hash(x) == hash(twin) and x.format() == twin.format()
+            if x.level == 0:
+                g0 = G0Element(KVector(x.g0.k.items), LambdaMatrix(x.g0.lam.rows))
+                assert x.g0 == g0 and hash(x.g0) == hash(g0)
+                assert hash(x.g0.k) == hash(g0.k) and hash(x.g0.lam) == hash(g0.lam)
+
+
+def test_glued_subgroup_membership_reads_the_lowest_block(tw: Tower):
+    vectors = [{0: (1, 0, 0), 2: (0, 1, 0)}, {1: (1, 1, 0), 2: (0, 0, 1)},
+               {0: (1, 0, 0), 1: (0, 2, 0), 2: (4, 0, 0)}, {2: (1, 0, 0)}, {}]
+    shear = ELEMENTARY_GENERATORS[0]
+    for blocks in vectors:
+        k = tw.k_vector(blocks)
+        moved = tw.mul(k, tw.lam(shear))
+        lifted = tw.mul(tw.stable(1), k)
+        for cutoff in range(len(tw.primes) + 1):
+            assert tw.in_kn(k, cutoff) == all(n >= cutoff for n in blocks), (blocks, cutoff)
+            assert tw.membership(k, f"K{cutoff}") == tw.in_kn(k, cutoff)
+            assert not tw.in_kn(moved, cutoff)
+            assert not tw.in_kn(lifted, cutoff)
