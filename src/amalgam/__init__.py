@@ -29,7 +29,7 @@ from .orbits import (
 )
 from .primes import PrimeSeq
 from .sampling import Sampler
-from .semidirect import G0Element, HnVector, KVector
+from .semidirect import G0Element, KVector
 from .suites import SUITE_NAMES, Report, SuiteConfig, run_all, run_suite
 from .tailbound import (
     DeviationReport,
@@ -66,7 +66,6 @@ __all__ = [
     "G0Element",
     "GroupAlgebraElement",
     "GroupWord",
-    "HnVector",
     "IDENTITY_MATRIX",
     "InvarianceDomainError",
     "KVector",

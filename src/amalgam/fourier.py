@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .matrices import LambdaMatrix
+from .semidirect import block_points, codes, image_table, point_array
 from .words import GroupWord, Tower
 
 __all__ = [
@@ -37,35 +38,15 @@ __all__ = [
     "projection_en",
 ]
 
-Triple = tuple[int, int, int]
-
-
-def block_points(p: int) -> list[Triple]:
-    """The p^3 coordinate triples of a block, in lexicographic order."""
-    return list(itertools.product(range(p), repeat=3))
-
-
-def _point_array(p: int) -> np.ndarray:
-    return np.array(block_points(p), dtype=np.int64)
-
-
-def _point_codes(pts: np.ndarray, p: int) -> np.ndarray:
-    """Lex index a*p^2 + b*p + c of each reduced triple (row) of `pts`."""
-    return (pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2]
+# public name of the codec's permutation of point codes under a matrix
+action_permutation = image_table
 
 
 def transform_matrix(p: int) -> np.ndarray:
     """Matrix of the function-to-coefficients map in the lex point basis."""
-    pts = _point_array(p)
+    pts = point_array(p)
     pairing = (pts @ pts.T) % p
     return np.exp(-2j * np.pi * pairing / p) / p**3
-
-
-def action_permutation(p: int, g: LambdaMatrix) -> np.ndarray:
-    """Index permutation sending each point x to g x mod p."""
-    pts = _point_array(p)
-    rows = np.array(g.rows, dtype=np.int64)
-    return _point_codes((pts @ rows.T) % p, p)
 
 
 def _as_values(p: int, f) -> np.ndarray:
@@ -224,7 +205,7 @@ def _convolve_block(
     right_num = np.array([c for _, c in right], dtype=dtype)
     acc = np.zeros(p**3, dtype=dtype)
     for w, na in left:
-        acc[_point_codes((right_pts + w.g0.k.block(n)) % p, p)] += na * right_num
+        acc[codes((right_pts + w.g0.k.block(n)) % p, p)] += na * right_num
     words = tower.block(n)
     return {words[c]: int(acc[c]) for c in np.flatnonzero(acc).tolist()}
 
@@ -253,7 +234,7 @@ def inverse_fourier(element: GroupAlgebraElement, n: int) -> np.ndarray:
         c = element.coefficient(w)
         if c:
             coeff[i] = complex(c)
-    pts_arr = _point_array(p)
+    pts_arr = point_array(p)
     pairing = (pts_arr @ pts_arr.T) % p
     characters = np.exp(2j * np.pi * pairing / p)
     return characters.T @ coeff
@@ -272,13 +253,12 @@ def check_intertwiner(tower: Tower, g: LambdaMatrix, n: int) -> float:
     F = transform_matrix(p)
     # columns of LHS: transform of the delta at g y, i.e. F with columns
     # pulled back along y -> g y
-    col_perm = action_permutation(p, g)
-    lhs = F[:, col_perm]
+    defect = F[:, image_table(p, g)]
     # rows of RHS: relabel u_x -> u_{h x} with h = inverse transpose of g;
-    # row j of the result is row at h^{-1} point_j = g^T point_j
-    row_perm = action_permutation(p, g.transpose())
-    rhs = F[row_perm, :]
-    return float(np.linalg.norm(lhs - rhs, axis=0).max())
+    # row j of the result is row at h^{-1} point_j = g^T point_j.
+    # Subtracted in place: one p^3 x p^3 matrix fewer at the peak.
+    defect -= F[image_table(p, g.transpose()), :]
+    return float(np.linalg.norm(defect, axis=0).max())
 
 
 def projection_en(tower: Tower, n: int) -> GroupAlgebraElement:

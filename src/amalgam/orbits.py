@@ -1,26 +1,28 @@
 """Diagonal matrix action on finite products of rank-3 blocks.
 
 The twelve elementary generators act simultaneously on every chosen
-block (each reduced mod its own prime).  This module computes the orbit
-partition of the product space by breadth-first closure and, separately,
-the dimension of the space of invariant functions by exact rational
-elimination, so the two can be compared.
+block (each reduced mod its own prime).  Points of the product space are
+handled as their integer codes (see `semidirect`), and each generator
+acts through its image table there.  This module computes the orbit
+partition of the product space by breadth-first search over those
+tables and, separately, the dimension of the space of invariant
+functions by exact rational elimination, so the two can be compared.
 """
 from __future__ import annotations
 
-import itertools
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .matrices import ELEMENTARY_GENERATORS, LambdaMatrix
+import numpy as np
+
+from .matrices import ELEMENTARY_GENERATORS
 from .primes import PrimeSeq
-from .semidirect import HnVector
+from .semidirect import product_image, product_points
 
 __all__ = [
     "OrbitPartition",
     "SizeGuardExceeded",
-    "act_mod_p",
     "diagonal_orbits",
     "zero_pattern_partition",
     "partitions_agree",
@@ -28,7 +30,6 @@ __all__ = [
 ]
 
 Triple = tuple[int, int, int]
-Point = tuple[int, ...]  # encoded block indices, one per position
 
 DEFAULT_SIZE_GUARD = 10_000_000
 
@@ -37,24 +38,13 @@ class SizeGuardExceeded(ValueError):
     """The requested product space is larger than the configured guard."""
 
 
-def act_mod_p(g: LambdaMatrix, x: HnVector) -> HnVector:
-    """Apply the matrix to one block, mod that block's prime."""
-    return HnVector(x.index, x.modulus, g.apply(x.coords, x.modulus))
-
-
 def _check_size(primes_used: Sequence[int], size_guard: int) -> int:
-    total = 1
-    for p in primes_used:
-        total *= p**3
+    total = math.prod(p**3 for p in primes_used)
     if total > size_guard:
         raise SizeGuardExceeded(
             f"product space has {total} points, above the guard of {size_guard}"
         )
     return total
-
-
-def _block_triples(p: int) -> list[Triple]:
-    return list(itertools.product(range(p), repeat=3))
 
 
 @dataclass(eq=False)
@@ -86,51 +76,43 @@ def diagonal_orbits(
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> OrbitPartition:
     """Orbit partition of the product of the given blocks under the
-    diagonal action of the elementary generators (BFS closure)."""
+    diagonal action of the elementary generators (BFS closure on codes)."""
     indices = tuple(indices)
     ps = tuple(primes.p(n) for n in indices)
-    _check_size(ps, size_guard)
+    npoints = _check_size(ps, size_guard)
 
-    # precompute, per position and generator, the permutation of that
-    # block's p^3 triples; product points are then tuples of small ints
-    triples = [_block_triples(p) for p in ps]
-    enc = [{t: i for i, t in enumerate(ts)} for ts in triples]
-    perms: list[list[list[int]]] = []  # perms[gi][pos][code] -> code
-    for g in ELEMENTARY_GENERATORS:
-        per_pos = []
-        for pos, p in enumerate(ps):
-            per_pos.append([enc[pos][g.apply(t, p)] for t in triples[pos]])
-        perms.append(per_pos)
+    # the generator set is inverse-closed, so forward images reach the orbit
+    images = [product_image(ps, g) for g in ELEMENTARY_GENERATORS]
+    label = np.full(npoints, -1, dtype=np.int64)
+    starts: list[int] = []
+    unlabeled = np.flatnonzero(label < 0)
+    while unlabeled.size:
+        # the least unlabeled code starts the next block
+        start = int(unlabeled[0])
+        bid = len(starts)
+        starts.append(start)
+        label[start] = bid
+        frontier = np.array([start])
+        while frontier.size:
+            # each image is a permutation, so the points newly reached
+            # through one generator are distinct, and labelling them at
+            # once keeps them out of the later generators' parts
+            parts = []
+            for image in images:
+                reached = image[frontier]
+                reached = reached[label[reached] < 0]
+                label[reached] = bid
+                parts.append(reached)
+            frontier = np.concatenate(parts)
+        unlabeled = np.flatnonzero(label < 0)
 
-    npos = len(ps)
-    labels: dict[Point, int] = {}
-    sizes: list[int] = []
-    reps: list[Point] = []
-    for start in itertools.product(*[range(len(ts)) for ts in triples]):
-        if start in labels:
-            continue
-        bid = len(sizes)
-        reps.append(start)
-        labels[start] = bid
-        queue = deque([start])
-        size = 0
-        while queue:
-            x = queue.popleft()
-            size += 1
-            for per_pos in perms:
-                y = tuple(per_pos[pos][x[pos]] for pos in range(npos))
-                if y not in labels:
-                    labels[y] = bid
-                    queue.append(y)
-        sizes.append(size)
-
-    decode = lambda pt: tuple(triples[pos][code] for pos, code in enumerate(pt))
+    points = product_points(ps)
     return OrbitPartition(
         indices=indices,
         primes_used=ps,
-        block_sizes=tuple(sizes),
-        representatives=tuple(decode(r) for r in reps),
-        labels={decode(pt): bid for pt, bid in labels.items()},
+        block_sizes=tuple(np.bincount(label).tolist()),
+        representatives=tuple(points[c] for c in starts),
+        labels=dict(zip(points, label.tolist())),
     )
 
 
@@ -148,13 +130,12 @@ def zero_pattern_partition(
     indices = tuple(indices)
     ps = tuple(primes.p(n) for n in indices)
     _check_size(ps, size_guard)
-    triples = [_block_triples(p) for p in ps]
 
     labels: dict[tuple[Triple, ...], int] = {}
     pattern_to_bid: dict[tuple[bool, ...], int] = {}
     sizes: list[int] = []
     reps: list[tuple[Triple, ...]] = []
-    for point in itertools.product(*triples):
+    for point in product_points(ps):
         pattern = tuple(t == (0, 0, 0) for t in point)
         bid = pattern_to_bid.get(pattern)
         if bid is None:
@@ -207,15 +188,6 @@ def fixed_point_dimension(
     indices = tuple(indices)
     ps = tuple(primes.p(n) for n in indices)
     npoints = _check_size(ps, size_guard)
-    triples = [_block_triples(p) for p in ps]
-    enc = [{t: i for i, t in enumerate(ts)} for ts in triples]
-
-    weights = []
-    w = 1
-    for ts in reversed(triples):
-        weights.append(w)
-        w *= len(ts)
-    weights.reverse()
 
     # pivot_off[c] = c' means the pivot row at column c is F(c) - F(c')
     pivot_off: dict[int, int] = {}
@@ -232,13 +204,9 @@ def fixed_point_dimension(
         return c
 
     rank = 0
-    npos = len(ps)
     for g in ELEMENTARY_GENERATORS:
-        per_pos = [[enc[pos][g.apply(t, ps[pos])] for t in triples[pos]] for pos in range(npos)]
-        for pt in itertools.product(*[range(len(ts)) for ts in triples]):
-            image = tuple(per_pos[pos][pt[pos]] for pos in range(npos))
-            i = sum(code * weights[pos] for pos, code in enumerate(pt))
-            j = sum(code * weights[pos] for pos, code in enumerate(image))
+        # one constraint F(i) - F(g i) per code i, in code order
+        for i, j in enumerate(product_image(ps, g).tolist()):
             if i == j:
                 continue
             a, b = reduce_column(i), reduce_column(j)

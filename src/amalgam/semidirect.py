@@ -10,47 +10,83 @@ results of `KVector.add`/`act`/`neg` and `G0Element.mul`/`inv` only ever
 carry indices and reduced coordinates of such operands, so they are built
 by the private `_kvec` and `_g0` constructors without re-checking, and
 read the primes as `primes.primes[n]` rather than through `PrimeSeq.p`.
+
+This module also owns the one integer encoding of block points: the
+triple (a, b, c) mod p has code (a*p + b)*p + c, its index in
+lexicographic order, and a point of a product of blocks has the
+mixed-radix code of its per-block codes, again its lexicographic index.
+`block_points`/`point_array` decode, `codes` encodes, and `image_table`
+gives the matrix action on one block as a permutation of codes.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .matrices import IDENTITY_MATRIX, LambdaMatrix, _ID_ROWS
 from .primes import PrimeSeq
 
-__all__ = ["HnVector", "KVector", "G0Element", "ZERO_K"]
+__all__ = [
+    "KVector",
+    "G0Element",
+    "ZERO_K",
+    "block_points",
+    "point_array",
+    "codes",
+    "image_table",
+    "product_points",
+    "product_image",
+]
 
 Triple = tuple[int, int, int]
 
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class HnVector:
-    """A single rank-3 block: coordinates mod `modulus` at block `index`."""
+@lru_cache(maxsize=None)
+def block_points(p: int) -> tuple[Triple, ...]:
+    """The p^3 coordinate triples of a block, in code (lexicographic) order."""
+    return tuple(itertools.product(range(p), repeat=3))
 
-    index: int
-    modulus: int
-    coords: Triple
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"block index must be >= 0, got {self.index}")
-        if any(not (0 <= c < self.modulus) for c in self.coords):
-            raise ValueError(f"coords {self.coords} not reduced mod {self.modulus}")
+@lru_cache(maxsize=None)
+def point_array(p: int) -> np.ndarray:
+    """`block_points(p)` as a read-only (p^3, 3) int64 array."""
+    pts = np.array(block_points(p), dtype=np.int64)
+    pts.flags.writeable = False
+    return pts
 
-    @classmethod
-    def make(cls, primes: PrimeSeq, index: int, coords: Iterable[int]) -> "HnVector":
-        p = primes.p(index)
-        c = tuple(int(x) % p for x in coords)
-        if len(c) != 3:
-            raise ValueError(f"need 3 coordinates, got {c}")
-        return cls(index, p, c)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coords == (0, 0, 0)
+def codes(pts, p: int) -> np.ndarray:
+    """Code (a*p + b)*p + c of each reduced triple along the last axis of `pts`."""
+    pts = np.asarray(pts, dtype=np.int64)
+    return (pts[..., 0] * p + pts[..., 1]) * p + pts[..., 2]
+
+
+@lru_cache(maxsize=128)
+def image_table(p: int, g: LambdaMatrix) -> np.ndarray:
+    """Read-only permutation of codes sending each point x to g x mod p."""
+    rows = np.array(g.mod(p), dtype=np.int64)
+    table = codes((point_array(p) @ rows.T) % p, p)
+    table.flags.writeable = False
+    return table
+
+
+def product_points(ps: Sequence[int]) -> list[tuple[Triple, ...]]:
+    """The points of the product of blocks mod `ps`, in code order."""
+    return list(itertools.product(*map(block_points, ps)))
+
+
+def product_image(ps: Sequence[int], g: LambdaMatrix) -> np.ndarray:
+    """Diagonal action of g on the product of blocks, as a permutation of codes."""
+    image = np.zeros(1, dtype=np.int64)
+    for p in ps:
+        image = (image[:, None] * p**3 + image_table(p, g)).ravel()
+    return image
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
 
+import numpy as np
+
+from .semidirect import codes
 from .words import GroupWord, Tower
 
 __all__ = [
@@ -147,7 +149,8 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
     InvarianceDomainError so callers can distinguish "outside the claimed
     range" from a genuine failure.  Because all coefficients of xi(n) are
     equal and conjugation relabels injectively, invariance is exactly
-    key-set equality.
+    key-set equality: every conjugate is a coordinate element of block n,
+    and their point codes cover the whole block.
     """
     if n <= cutoff:
         raise InvarianceDomainError(
@@ -155,8 +158,14 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
         )
     if not tower.membership(g, f"G{cutoff}"):
         raise ValueError(f"conjugator must lie at level <= {cutoff}, got level {g.level}")
-    block = tower.block(n)
-    return frozenset(tower.conj(k, g) for k in block) == frozenset(block)
+    moved = []
+    for k in tower.block(n):
+        image = tower.conj(k, g)
+        if not (tower.in_k(image) and image.g0.k.support in ((), (n,))):
+            return False
+        moved.append(image.g0.k.block(n))
+    p = tower.primes.p(n)
+    return np.array_equal(np.sort(codes(moved, p)), np.arange(p**3))
 
 
 def block_stabilized(tower: Tower, n: int, g: GroupWord) -> bool:

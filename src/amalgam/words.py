@@ -35,7 +35,6 @@ canonical, so this is the same element in the same representation.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -48,7 +47,7 @@ from .matrices import (
     generator_ball,
 )
 from .primes import PrimeSeq
-from .semidirect import G0Element, KVector, ZERO_K
+from .semidirect import G0Element, KVector, ZERO_K, block_points
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
@@ -171,14 +170,12 @@ class Tower:
     def block(self, n: int) -> tuple[GroupWord, ...]:
         """The p^3 words h(n, x) of block n, x in lexicographic order.
 
-        Index a*p^2 + b*p + c holds h(n; a, b, c); index 0 is the identity.
+        Index i holds h(n; x) for the point x of code i (see `semidirect`);
+        index 0 is the identity.
         Memoized per tower.
         """
         if n not in self._block_cache:
-            p = self.primes.p(n)
-            self._block_cache[n] = tuple(
-                self.h(n, x) for x in itertools.product(range(p), repeat=3)
-            )
+            self._block_cache[n] = tuple(self.h(n, x) for x in block_points(self.primes.p(n)))
         return self._block_cache[n]
 
     def k_vector(self, blocks: dict[int, Iterable[int]]) -> GroupWord:

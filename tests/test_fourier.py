@@ -20,7 +20,7 @@ from amalgam.fourier import (
 )
 from amalgam.matrices import ELEMENTARY_GENERATORS, elementary
 from amalgam.primes import PrimeSeq
-from amalgam.semidirect import G0Element, KVector
+from amalgam.semidirect import G0Element, KVector, codes, image_table, point_array
 from amalgam.words import Tower
 
 PRIMES = PrimeSeq.parse("2,3,5")
@@ -108,10 +108,25 @@ def test_intertwiner_rejects_wrong_relabel(tw: Tower):
 
 
 def test_action_permutation_is_permutation():
-    for p in (2, 3):
-        for g in ELEMENTARY_GENERATORS[:4]:
-            perm = action_permutation(p, g)
+    # the block-point codec: encode/decode round-trips, and each generator's
+    # image table is a permutation of codes that agrees with the matrix
+    # action point by point and composes like the matrices
+    assert action_permutation is image_table
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 5, 7):
+        pts = point_array(p)
+        assert [tuple(x) for x in pts.tolist()] == list(block_points(p))
+        assert codes(pts, p).tolist() == list(range(p**3))
+        sample = rng.integers(0, p, size=(50, 3))
+        assert np.array_equal(pts[codes(sample, p)], sample)
+        tables = {g: image_table(p, g) for g in ELEMENTARY_GENERATORS}
+        for g, perm in tables.items():
             assert sorted(perm.tolist()) == list(range(p**3))
+            assert [block_points(p)[c] for c in perm.tolist()] == [
+                g.apply(x, p) for x in block_points(p)
+            ]
+            for h, other in tables.items():
+                assert np.array_equal(image_table(p, g * h), perm[other])
 
 
 def test_projection_identities_exact(tw: Tower):

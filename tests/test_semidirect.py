@@ -7,19 +7,10 @@ import pytest
 
 from amalgam.matrices import IDENTITY_MATRIX, elementary
 from amalgam.primes import PrimeSeq
-from amalgam.semidirect import G0Element, HnVector, KVector, ZERO_K
+from amalgam.semidirect import G0Element, KVector, ZERO_K
 
 PRIMES = PrimeSeq.parse("2,3,5")
 GENS = [elementary(i, j, s) for i in range(3) for j in range(3) if i != j for s in (1, -1)]
-
-
-def test_hn_vector_make_reduces():
-    v = HnVector.make(PRIMES, 1, (4, -1, 0))
-    assert v.coords == (1, 2, 0)
-    assert v.modulus == 3
-    assert HnVector.make(PRIMES, 0, (2, 2, 2)).is_zero
-    with pytest.raises(ValueError, match="3 coordinates"):
-        HnVector.make(PRIMES, 0, (1, 0))
 
 
 def test_kvector_zero_and_single():

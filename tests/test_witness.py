@@ -104,6 +104,26 @@ def test_check_xi_invariance_domain_guard(tw: Tower):
         check_xi_invariance(tw, 0, 1, tw.stable(1))
 
 
+def test_check_xi_invariance_rejects_broken_conjugation(monkeypatch):
+    # Within its domain the check always holds, so each way it can fail is
+    # shown with a substituted conjugation: one leaving the lattice, one
+    # leaving block n, one spanning two blocks, one not onto the block
+    tower = Tower(PRIMES)
+    n, g = 2, tower.stable(1)
+    block = tower.block(n)
+    moved = {
+        "lattice": tower.stable(1),
+        "block": tower.h(n - 1, (1, 0, 0)),
+        "span": tower.k_vector({n: (0, 0, 1), n + 1: (1, 0, 0)}),  # block n part is block[1]
+        "onto": block[2],
+    }
+    for label, image in moved.items():
+        monkeypatch.setattr(Tower, "conj", lambda self, k, g: image if k is block[1] else k)
+        assert not check_xi_invariance(tower, 1, n, g), label
+    monkeypatch.setattr(Tower, "conj", lambda self, k, g: block[-1 - block.index(k)])
+    assert check_xi_invariance(tower, 1, n, g)  # a relabelling onto the block
+
+
 def test_block_stabilized_matches_full_check(tw: Tower):
     sampler = Sampler(tw, seed=37)
     for _ in range(40):
