@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
+from amalgam.matrices import ELEMENTARY_GENERATORS
 from amalgam.orbits import (
     SizeGuardExceeded,
     diagonal_orbits,
@@ -14,6 +16,7 @@ from amalgam.orbits import (
     zero_pattern_partition,
 )
 from amalgam.primes import PrimeSeq
+from amalgam.semidirect import KVector, block_points, product_image
 
 PRIMES = PrimeSeq.parse("2,3,5")
 
@@ -26,6 +29,31 @@ ORBIT_SIZES = {
     (0, 1): (1, 7, 26, 182),
     (0, 1, 2): (1, 7, 26, 124, 182, 868, 3224, 22568),
 }
+
+
+def test_act_mod_p_matches_matrix_action():
+    # the code permutation the orbit search walks sends each point of a
+    # block to its image under the matrix, as the blockwise action does
+    rng = random.Random(2)
+    for _ in range(60):
+        n = rng.randrange(3)
+        p = PRIMES.p(n)
+        x = tuple(rng.randrange(p) for _ in range(3))
+        g = rng.choice(ELEMENTARY_GENERATORS)
+        y = block_points(p)[product_image((p,), g)[block_points(p).index(x)]]
+        assert y == g.apply(x, p)
+        assert KVector.single(PRIMES, n, x).act(g, PRIMES) == KVector.single(PRIMES, n, y)
+
+
+def test_act_is_functorial():
+    # on the diagonal product of blocks the image of g*h is image(g) after image(h)
+    ps = PRIMES.primes[:2]
+    rng = random.Random(8)
+    for _ in range(60):
+        g, h = rng.choice(ELEMENTARY_GENERATORS), rng.choice(ELEMENTARY_GENERATORS)
+        gh, pg, ph = (product_image(ps, m) for m in (g * h, g, h))
+        code = rng.randrange(len(gh))
+        assert gh[code] == pg[ph[code]]
 
 
 @pytest.mark.parametrize("indices", [(0,), (0, 1), (0, 1, 2)])
