@@ -10,7 +10,11 @@ forward direction sends a function to its coefficient family
 which is trace preserving (the coefficient at 0 is the mean of f) and
 turns pointwise products into convolutions.  The matrix action on the
 block intertwines the two sides up to an inverse transpose, which
-`check_intertwiner` measures numerically.
+`check_intertwiner` measures numerically.  Both transforms index a table
+of the p roots of unity by <x,y> mod p.  `GroupAlgebraElement.mul`
+convolves exact or complex operands on one block over lex point codes and
+all others in a pair loop over `Tower.mul`; the paths give the same
+coefficients, bit for bit in the complex case (see `_convolve_block`).
 """
 from __future__ import annotations
 
@@ -42,11 +46,15 @@ __all__ = [
 action_permutation = image_table
 
 
+def _pairing(p: int) -> np.ndarray:
+    """<x, y> mod p over pairs of lex points, to index a table of p roots."""
+    pts = point_array(p)
+    return (pts @ pts.T) % p
+
+
 def transform_matrix(p: int) -> np.ndarray:
     """Matrix of the function-to-coefficients map in the lex point basis."""
-    pts = point_array(p)
-    pairing = (pts @ pts.T) % p
-    return np.exp(-2j * np.pi * pairing / p) / p**3
+    return (np.exp(-2j * np.pi * np.arange(p) / p) / p**3)[_pairing(p)]
 
 
 def _as_values(p: int, f) -> np.ndarray:
@@ -89,47 +97,36 @@ class GroupAlgebraElement:
         return self.coeffs.get(self.tower.identity(), 0)
 
     def mul(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Convolution: (u_a)(u_b) = u_{ab}."""
-        if self.is_exact() and other.is_exact():
-            return self._mul_exact(other)
-        tw = self.tower
-        tmul = tw.mul
-        out: dict[GroupWord, object] = {}
-        for wa, ca in self.coeffs.items():
-            for wb, cb in other.coeffs.items():
-                key = tmul(wa, wb)
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return GroupAlgebraElement(tw, out)
+        """Convolution: (u_a)(u_b) = u_{ab}, by one of three paths.
 
-    def _mul_exact(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Rational convolution over a common denominator (integer inner loop).
-
-        When every key of both operands is a pure coordinate element of one
-        block n (the identity allowed), the product is a convolution on the
-        abelian group (Z/p)^3 and is computed on lex point codes by
-        `_convolve_block`, without a `Tower.mul` per pair.  Its numerators
-        accumulate in int64 unless a sum could reach 2^63, in which case
-        they stay Python ints.  Every other operand goes through the
-        generic pair loop.  Both give the same coefficients.
+        Exact operands, as integer numerators over common denominators, and
+        operands whose coefficients are all Python complex go to
+        `_convolve_block` when every key is a pure coordinate element of one
+        block.  The rest (mixed, float or numpy coefficients; level >= 1,
+        matrix-part, off-block or foreign keys) take the pair loop.
         """
         tw = self.tower
-        da = lcm(*(Fraction(c).denominator for c in self.coeffs.values())) if self.coeffs else 1
-        db = lcm(*(Fraction(c).denominator for c in other.coeffs.values())) if other.coeffs else 1
-        left = [(w, int(c * da)) for w, c in self.coeffs.items()]
-        right = [(w, int(c * db)) for w, c in other.coeffs.items()]
-        block = _single_block(tw, itertools.chain(self.coeffs, other.coeffs))
-        acc = None if block is None else _convolve_block(tw, block, left, right)
+        left, right = list(self.coeffs.items()), list(other.coeffs.items())
+        exact = self.is_exact() and other.is_exact()
+        if exact:
+            da = lcm(*(Fraction(c).denominator for _, c in left))
+            db = lcm(*(Fraction(c).denominator for _, c in right))
+            left = [(w, int(c * da)) for w, c in left]
+            right = [(w, int(c * db)) for w, c in right]
+        acc = None
+        if exact or all(type(c) is complex for _, c in itertools.chain(left, right)):
+            block = _single_block(tw, itertools.chain(self.coeffs, other.coeffs))
+            acc = None if block is None else _convolve_block(tw, block, left, right)
         if acc is None:
-            tmul = tw.mul
-            acc = {}
-            get = acc.get
-            for wa, na in left:
-                for wb, nb in right:
+            tmul, acc = tw.mul, {}
+            for wa, ca in left:
+                for wb, cb in right:
                     key = tmul(wa, wb)
-                    acc[key] = get(key, 0) + na * nb
-        denom = da * db
-        return GroupAlgebraElement(tw, {w: Fraction(n, denom) for w, n in acc.items()})
+                    prev = acc.get(key)  # each sum starts from its first product
+                    acc[key] = ca * cb if prev is None else prev + ca * cb
+        if exact:
+            acc = {w: Fraction(n, da * db) for w, n in acc.items()}
+        return GroupAlgebraElement(tw, acc)
 
     def star(self) -> "GroupAlgebraElement":
         """Adjoint: conjugate coefficients on inverted basis words."""
@@ -180,34 +177,48 @@ def _single_block(tower: Tower, words) -> int | None:
     return block
 
 
-def _convolve_block(
-    tower: Tower, n: int, left: list[tuple[GroupWord, int]], right: list[tuple[GroupWord, int]]
-) -> dict[GroupWord, int] | None:
-    """Integer convolution of (word, numerator) lists supported on block n.
+def _convolve_block(tower: Tower, n: int, left: list, right: list) -> dict | None:
+    """Convolution of (word, coefficient) lists supported on block n, on codes.
 
-    Points are added coordinatewise mod p and accumulated at their lex
-    codes in one array of p^3 numerators.  One row of the smaller operand
-    translates the other operand's distinct points to distinct codes, so a
-    fancy-indexed add per row is exact.  The accumulator is int64 when no
-    partial sum can reach 2^63 (each code collects at most min(|A|, |B|)
-    products); otherwise it holds Python ints.  Returns None, leaving the
-    product to the generic loop, when p^3 exceeds the number of pairs, so
-    that the accumulator is never larger than the work.
+    Row i adds the i-th left point to the right operand's distinct points,
+    giving distinct codes, so one fancy-indexed add per row is exact and
+    each target sums its terms in the pair loop's order.  Integers sum in
+    int64 unless a partial sum could reach 2^63 (a code collects at most
+    min(|A|, |B|) products), else as Python ints.  Complex parts sum in
+    float64 through CPython's product (ar*br - ai*bi, ar*bi + ai*br); numpy's
+    complex multiply can differ in the last bit.  Sums start at -0.0, which
+    IEEE addition leaves unchanged, as the pair loop starts from its first
+    product, and keys come in order of first touch: the pair loop's result,
+    bit for bit.  None when p^3 exceeds the pairs, so the work bounds memory.
     """
     p = tower.primes.p(n)
     if p**3 > len(left) * len(right):
         return None
-    if len(left) > len(right):
-        left, right = right, left
-    bound = max(abs(c) for _, c in left) * max(abs(c) for _, c in right) * len(left)
-    dtype = np.int64 if bound < 2**63 else object
     right_pts = np.array([w.g0.k.block(n) for w, _ in right], dtype=np.int64)
-    right_num = np.array([c for _, c in right], dtype=dtype)
-    acc = np.zeros(p**3, dtype=dtype)
-    for w, na in left:
-        acc[codes((right_pts + w.g0.k.block(n)) % p, p)] += na * right_num
+    cplx = isinstance(left[0][1], complex)
+    if cplx:
+        right_num = np.array([c for _, c in right])
+        br, bi = right_num.real, right_num.imag
+        acc = np.full((2, p**3), -0.0)
+    else:
+        bound = max(abs(c) for _, c in left) * max(abs(c) for _, c in right)
+        dtype = np.int64 if bound * min(len(left), len(right)) < 2**63 else object
+        right_num = np.array([c for _, c in right], dtype=dtype)
+        acc = np.zeros((1, p**3), dtype=dtype)
+    touched, order = np.zeros(p**3, dtype=bool), []
+    for w, a in left:
+        idx = codes((right_pts + w.g0.k.block(n)) % p, p)
+        if cplx:
+            acc[0, idx] += a.real * br - a.imag * bi
+            acc[1, idx] += a.real * bi + a.imag * br
+        else:
+            acc[0, idx] += a * right_num
+        order.append(idx[~touched[idx]])
+        touched[idx] = True
+    keys = np.concatenate(order).tolist()
+    sums = zip(*acc[:, keys].tolist())
     words = tower.block(n)
-    return {words[c]: int(acc[c]) for c in np.flatnonzero(acc).tolist()}
+    return {words[k]: complex(*z) if cplx else z[0] for k, z in zip(keys, sums)}
 
 
 def fourier(tower: Tower, n: int, f) -> GroupAlgebraElement:
@@ -218,25 +229,15 @@ def fourier(tower: Tower, n: int, f) -> GroupAlgebraElement:
     p = tower.primes.p(n)
     values = _as_values(p, f)
     coeff = transform_matrix(p) @ values
-    out: dict[GroupWord, object] = {}
-    for w, c in zip(tower.block(n), coeff.tolist()):
-        if c != 0:
-            out[w] = c
-    return GroupAlgebraElement(tower, out)
+    return GroupAlgebraElement(tower, dict(zip(tower.block(n), coeff.tolist())))  # drops zeros
 
 
 def inverse_fourier(element: GroupAlgebraElement, n: int) -> np.ndarray:
     """Coefficients back to the function sum_x c(x) chi_x, over lex points."""
     tower = element.tower
     p = tower.primes.p(n)
-    coeff = np.zeros(p**3, dtype=complex)
-    for i, w in enumerate(tower.block(n)):
-        c = element.coefficient(w)
-        if c:
-            coeff[i] = complex(c)
-    pts_arr = point_array(p)
-    pairing = (pts_arr @ pts_arr.T) % p
-    characters = np.exp(2j * np.pi * pairing / p)
+    coeff = np.array([complex(element.coefficient(w)) for w in tower.block(n)])
+    characters = np.exp(2j * np.pi * np.arange(p) / p)[_pairing(p)]
     return characters.T @ coeff
 
 
@@ -252,13 +253,15 @@ def check_intertwiner(tower: Tower, g: LambdaMatrix, n: int) -> float:
     p = tower.primes.p(n)
     F = transform_matrix(p)
     # columns of LHS: transform of the delta at g y, i.e. F with columns
-    # pulled back along y -> g y
-    defect = F[:, image_table(p, g)]
-    # rows of RHS: relabel u_x -> u_{h x} with h = inverse transpose of g;
-    # row j of the result is row at h^{-1} point_j = g^T point_j.
-    # Subtracted in place: one p^3 x p^3 matrix fewer at the peak.
-    defect -= F[image_table(p, g.transpose()), :]
-    return float(np.linalg.norm(defect, axis=0).max())
+    # pulled back along y -> g y; rows of RHS: relabel u_x -> u_{h x} with
+    # h = inverse transpose of g, so row j is the row at g^T point_j
+    cols, rows = image_table(p, g), image_table(p, g.transpose())
+    worst = 0.0
+    for start in range(0, p**3, 64):  # column slices keep p^3 x p^3 temporaries off the peak
+        part = slice(start, start + 64)
+        defect = F[:, cols[part]] - F[rows, part]
+        worst = max(worst, float(np.linalg.norm(defect, axis=0).max()))
+    return worst
 
 
 def projection_en(tower: Tower, n: int) -> GroupAlgebraElement:

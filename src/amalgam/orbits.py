@@ -105,6 +105,7 @@ def diagonal_orbits(
                 parts.append(reached)
             frontier = np.concatenate(parts)
         unlabeled = np.flatnonzero(label < 0)
+    del images  # 12 code arrays of the product, not needed past the search
 
     points = product_points(ps)
     return OrbitPartition(
@@ -156,7 +157,7 @@ def zero_pattern_partition(
 
 def partitions_agree(a: OrbitPartition, b: OrbitPartition) -> bool:
     """Whether two partitions of the same point set have identical parts."""
-    if set(a.labels) != set(b.labels):
+    if a.labels.keys() != b.labels.keys():  # set comparison without copying
         return False
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}

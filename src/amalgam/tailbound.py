@@ -7,13 +7,18 @@ the exact mass of the all-large-atoms point, `epsilon_defect` its gap to
 one, and `deviation_bound_check` verifies that any unit-sup-norm function
 on the product space deviates from its mean by at most 4 * sqrt(epsilon)
 in the 2-norm.  All pass/fail decisions are made in exact rational
-arithmetic; floats appear only in the reported readings.
+arithmetic; floats appear only in the reported readings.  The deviation
+check sums integers: atom masses M_i over D = prod p_n^3 and values V_i
+over their common denominator B give, with S1 = sum M_i V_i and
+S2 = sum M_i V_i^2, mean = S1 / (D B) and, as sum M_i = D, squared
+deviation (D S2 - S1^2) / (D B)^2.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
@@ -96,12 +101,19 @@ def atom_mass(primes: PrimeSeq, first: int, bits: Sequence[int]) -> Fraction:
     return mass
 
 
-def _as_rational(value) -> Fraction:
+def _as_ratio(value) -> tuple[int, int]:
+    """Lowest-terms (numerator, denominator) of an exact real value."""
     if isinstance(value, Rational):
-        return Fraction(value)
+        return int(value.numerator), int(value.denominator)
     if isinstance(value, float):
-        return Fraction(value)
+        return value.as_integer_ratio()
     raise TypeError(f"function values must be real rationals or floats, got {type(value).__name__}")
+
+
+@lru_cache(maxsize=64)
+def _atom_numerators(cubes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Lex atom masses as integer numerators over their denominator prod(cubes)."""
+    return tuple(map(math.prod, itertools.product(*((q - 1, 1) for q in cubes)))), math.prod(cubes)
 
 
 @dataclass(frozen=True)
@@ -138,18 +150,22 @@ def deviation_bound_check(
         missing = [pt for pt in points if pt not in values]
         if missing:
             raise ValueError(f"function is missing {len(missing)} atoms, first {missing[0]}")
-        table = [_as_rational(values[pt]) for pt in points]
+        table = [_as_ratio(values[pt]) for pt in points]
     else:
-        table = [_as_rational(v) for v in values]
+        table = [_as_ratio(v) for v in values]
         if len(table) != len(points):
             raise ValueError(f"expected {len(points)} atom values, got {len(table)}")
-    for v in table:
-        if abs(v) > 1:
-            raise ValueError(f"sup-norm exceeds 1 at value {v}")
-    masses = [atom_mass(seq, first, pt) for pt in points]
-    mean = sum((m * v for m, v in zip(masses, table)), Fraction(0))
-    lhs_squared = sum((m * (v - mean) ** 2 for m, v in zip(masses, table)), Fraction(0))
-    bound_squared = 16 * epsilon_defect(seq, first, last)
+    for num, den in table:
+        if abs(num) > den:
+            raise ValueError(f"sup-norm exceeds 1 at value {Fraction(num, den)}")
+    masses, d = _atom_numerators(tuple(seq.cube(n) for n in window))
+    scale = math.lcm(*(den for _, den in table))
+    ints = [num * (scale // den) for num, den in table]
+    s1 = sum(m * v for m, v in zip(masses, ints))
+    s2 = sum(m * v * v for m, v in zip(masses, ints))
+    mean = Fraction(s1, d * scale)
+    lhs_squared = Fraction(d * s2 - s1 * s1, (d * scale) ** 2)
+    bound_squared = Fraction(16 * (d - masses[0]), d)  # 16 epsilon: masses[0] / d is the tail trace
     return DeviationReport(
         passed=lhs_squared <= bound_squared,
         lhs=math.sqrt(lhs_squared),

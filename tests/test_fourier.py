@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import random
 from fractions import Fraction
 
@@ -42,6 +43,26 @@ def test_transform_matrix_inverts_against_characters():
         pts = np.array(block_points(p))
         characters = np.exp(2j * np.pi * ((pts @ pts.T) % p) / p)
         assert np.max(np.abs(characters.T @ F - np.eye(p**3))) < TOL
+
+
+def test_transform_tables_match_direct_formula():
+    # both transforms gather from a table of p roots of unity; the bytes
+    # must equal the elementwise formula over <x,y> mod p
+    tower = Tower(PrimeSeq.parse("2,3,5,7,11"))
+    rng = np.random.default_rng(3)
+    for n, p in enumerate((2, 3, 5, 7, 11)):
+        pts = point_array(p)
+        pairing = (pts @ pts.T) % p
+        F = transform_matrix(p)
+        for rows in range(0, p**3, 256):  # the formula in row chunks keeps memory small
+            chunk = pairing[rows : rows + 256]
+            direct = np.exp(-2j * np.pi * chunk / p) / p**3
+            assert F[rows : rows + 256].tobytes() == direct.tobytes()
+        del F
+        coeff = rng.uniform(-1, 1, p**3) + 1j * rng.uniform(-1, 1, p**3)
+        el = GroupAlgebraElement(tower, dict(zip(tower.block(n), coeff.tolist())))
+        characters = np.exp(2j * np.pi * pairing / p)
+        assert inverse_fourier(el, n).tobytes() == (characters.T @ coeff).tobytes()
 
 
 def test_round_trip_all_blocks(tw: Tower):
@@ -94,6 +115,25 @@ def test_intertwiner_exact_for_generators(tw: Tower):
     for n in range(3):
         for g in ELEMENTARY_GENERATORS:
             assert check_intertwiner(tw, g, n) <= TOL
+
+
+def test_intertwiner_slices_match_dense_defect(tw: Tower, monkeypatch):
+    # valid matrices give a zero defect, so break the relabelling: with
+    # random permutations the column-sliced defect must equal the dense one
+    rng = np.random.default_rng(11)
+    perms: dict = {}
+    monkeypatch.setattr(
+        importlib.import_module("amalgam.fourier"),  # the package attribute is the function
+        "image_table",
+        lambda q, g: perms.setdefault((q, g), rng.permutation(q**3)),
+    )
+    for n in (1, 2):
+        p = PRIMES.p(n)
+        F = transform_matrix(p)
+        for g in ELEMENTARY_GENERATORS[:4]:
+            got = check_intertwiner(tw, g, n)
+            dense = F[:, perms[p, g]] - F[perms[p, g.transpose()], :]
+            assert got == float(np.linalg.norm(dense, axis=0).max()) > 1e-2
 
 
 def test_intertwiner_rejects_wrong_relabel(tw: Tower):
@@ -186,6 +226,11 @@ def test_mul_rejects_mismatched_towers(tw: Tower):
     b = GroupAlgebraElement.basis(other.identity())
     with pytest.raises(ValueError, match="tower"):
         a.mul(b)
+    # complex operands on one block each, which the block path must not take
+    a = GroupAlgebraElement(tw, {tw.h(0, x): 1j for x in block_points(2)})
+    b = GroupAlgebraElement(other, {other.h(0, x): 1j for x in block_points(2)})
+    with pytest.raises(ValueError, match="tower"):
+        a.mul(b)
 
 
 # --- exact one-block convolution against the pair loop over Tower.mul ---
@@ -199,12 +244,18 @@ def tw7() -> Tower:
 
 
 def _reference_product(a: GroupAlgebraElement, b: GroupAlgebraElement) -> dict:
+    """The pair loop over Tower.mul, each sum started from its first product."""
     out: dict = {}
     for wa, ca in a.coeffs.items():
         for wb, cb in b.coeffs.items():
             key = a.tower.mul(wa, wb)
-            out[key] = out.get(key, 0) + ca * cb
+            out[key] = ca * cb if key not in out else out[key] + ca * cb
     return {w: c for w, c in out.items() if c != 0}
+
+
+def _bits(coeffs: dict) -> list:
+    """Keys in order with the repr of each coefficient: every float's bits, -0.0 included."""
+    return [(w, repr(c)) for w, c in coeffs.items()]
 
 
 @contextlib.contextmanager
@@ -230,6 +281,16 @@ def _random_block_element(rng: random.Random, tower: Tower, n: int, size: int, s
     for x in rng.sample(block_points(p), size):
         num = rng.randint(1, scale) * rng.choice((-1, 1))
         coeffs[tower.h(n, x)] = Fraction(num, rng.randint(1, 30))
+    return GroupAlgebraElement(tower, coeffs)
+
+
+def _random_complex_element(rng: random.Random, tower: Tower, n: int, size: int):
+    # units and signed zeros in the parts produce -0.0 products
+    special = (1j, -1j, 1 + 0j, -1 + 0j, complex(-0.0, 1.0), complex(1.0, -0.0))
+    coeffs = {}
+    for x in rng.sample(block_points(tower.primes.p(n)), size):
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        coeffs[tower.h(n, x)] = rng.choice(special) if rng.random() < 0.3 else c
     return GroupAlgebraElement(tower, coeffs)
 
 
@@ -281,12 +342,36 @@ def test_off_block_operands_take_pair_loop(tw7: Tower):
         ),
         "blocks 0 and 1": (_block_sum(tw7, 0), _block_sum(tw7, 1)),
     }
+    # complex operands take the block path only when every coefficient is a
+    # Python complex and every key lies on one block
+    rng = random.Random(17)
+    full = _random_complex_element(rng, tw7, 1, 27)
+    level_one = tw7.mul(tw7.stable(1), tw7.h(1, (0, 0, 1)))
+    cases.update({
+        "complex x Fraction": (full, _random_block_element(rng, tw7, 1, 27, 10)),
+        "float": (
+            GroupAlgebraElement(tw7, {w: c.real or 0.5 for w, c in full.coeffs.items()}),
+            GroupAlgebraElement(tw7, {w: c.imag or 0.5 for w, c in full.coeffs.items()}),
+        ),
+        "numpy complex": (
+            GroupAlgebraElement(tw7, {w: np.complex128(c) for w, c in full.coeffs.items()}),
+            full,
+        ),
+        "complex keys on two blocks": (
+            GroupAlgebraElement(tw7, {**full.coeffs, tw7.h(2, (1, 0, 0)): 0.5j}),
+            full,
+        ),
+        "complex level-1 key": (
+            full,
+            GroupAlgebraElement(tw7, {**full.coeffs, level_one: 1j}),
+        ),
+    })
     for label, (a, b) in cases.items():
         with _counted_tower_mul(tw7) as calls:
             product = a.mul(b)
         # level >= 1 products recurse through Tower.mul, so count at least one per pair
         assert len(calls) >= a.support_size * b.support_size, label
-        assert product.coeffs == _reference_product(a, b), label
+        assert _bits(product.coeffs) == _bits(_reference_product(a, b)), label
 
 
 def test_one_block_convolution_exact_beyond_int64(tw7: Tower):
@@ -302,3 +387,35 @@ def test_one_block_convolution_exact_beyond_int64(tw7: Tower):
         assert product.coeffs == _reference_product(x, y)
         denom = max(v.denominator for v in product.coeffs.values())
         assert max(abs(v) * denom for v in product.coeffs.values()) >= 2**63
+
+
+# --- complex one-block convolution against the pair loop, bit for bit ---
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("seed", range(6))
+def test_complex_convolution_matches_pair_loop_bitwise(tw7: Tower, n: int, seed: int):
+    rng = random.Random(5000 + 100 * n + seed)
+    p = BLOCK_PRIMES.p(n)
+    # one full product at p=7: its reference alone makes 118k Tower.mul calls
+    full = p**3 if p < 7 or seed == 0 else 60
+    sizes = [(full, full), (p**3, 1), (rng.randint(1, full), rng.randint(1, full))]
+    for size_a, size_b in sizes:
+        a = _random_complex_element(rng, tw7, n, size_a)
+        b = _random_complex_element(rng, tw7, n, size_b)
+        with _counted_tower_mul(tw7) as calls:
+            product = a.mul(b)
+        assert _bits(product.coeffs) == _bits(_reference_product(a, b))
+        pairs = a.support_size * b.support_size
+        assert len(calls) == (0 if pairs >= p**3 else pairs)
+
+
+def test_complex_convolution_keeps_negative_zero(tw7: Tower):
+    # i * (-1) = (-0.0, -1.0) in CPython; a sum started from +0.0 would lose the sign
+    a = GroupAlgebraElement(tw7, {tw7.h(0, x): 1j for x in block_points(2)})
+    b = GroupAlgebraElement(tw7, {tw7.h(0, (1, 0, 1)): -1 + 0j})
+    with _counted_tower_mul(tw7) as calls:
+        product = a.mul(b)
+    assert not calls
+    assert product.support_size == 8
+    assert all(np.signbit(c.real) and c.imag == -1 for c in product.coeffs.values())
+    assert _bits(product.coeffs) == _bits(_reference_product(a, b))

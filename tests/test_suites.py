@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import re
 from functools import lru_cache
@@ -13,6 +14,9 @@ from amalgam.suites import SUITE_NAMES, Report, SuiteConfig, run_all, run_suite
 
 SMALL = SuiteConfig(primes=PrimeSeq.parse("2,3,5,7,11"), seed=3, samples=40)
 TINY = SuiteConfig(primes=PrimeSeq.parse("2,3"), seed=1, samples=15, level=2)
+
+# by import path: the package attribute `amalgam.fourier` is the transform function
+fourier_module = importlib.import_module("amalgam.fourier")
 
 _ELAPSED = re.compile(r'"elapsed_s": [0-9.e+-]+')
 
@@ -96,6 +100,26 @@ GOLDEN_DIGESTS = {
 def test_word_suite_reports_match_golden_digest(name):
     text = _stable(_small_report(name).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+def test_fourier_report_same_without_complex_block_path(monkeypatch):
+    # the fourier digest depends on the BLAS kernel, so the complex block
+    # convolution is pinned against the pair loop within one run instead:
+    # with complex operands sent to the pair loop the report is unchanged
+    plain = fourier_module._convolve_block
+    calls = []
+
+    def exact_only(tower, n, left, right):
+        if any(isinstance(c, complex) for _, c in left + right):
+            calls.append(n)
+            return None
+        return plain(tower, n, left, right)
+
+    monkeypatch.setattr(fourier_module, "_convolve_block", exact_only)
+    without = run_suite("fourier", SMALL).to_json()
+    assert sorted(set(calls)) == [0, 1, 2, 3]  # every block's product was declined
+    monkeypatch.undo()
+    assert _stable(without) == _stable(_small_report("fourier").to_json())
 
 
 def test_seed_changes_sampled_payloads():

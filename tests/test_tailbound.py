@@ -1,6 +1,7 @@
 """Tail traces, defect budgets, and the deviation inequality."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -121,6 +122,13 @@ def test_rejects_out_of_ball_values():
     values = [Fraction(2)] + [Fraction(1)] * 7
     with pytest.raises(ValueError, match="sup"):
         deviation_bound_check(PRIMES, 0, 2, values)
+    # the message names the offending value as an exact fraction
+    with pytest.raises(ValueError, match=r"sup-norm exceeds 1 at value 3/2"):
+        deviation_bound_check(PRIMES, 0, 0, [0.25, 1.5])
+    with pytest.raises(ValueError, match=r"sup-norm exceeds 1 at value -7/5"):
+        deviation_bound_check(PRIMES, 0, 0, {(0,): Fraction(-7, 5), (1,): 0})
+    with pytest.raises(TypeError, match="real rationals or floats, got complex"):
+        deviation_bound_check(PRIMES, 0, 0, [0.5, 1j])
 
 
 def test_rejects_wrong_atom_count():
@@ -137,3 +145,46 @@ def test_sequence_input_matches_mapping_input():
     a = deviation_bound_check(PRIMES, 0, 2, seq)
     b = deviation_bound_check(PRIMES, 0, 2, mapping)
     assert a.as_pair() == b.as_pair()
+
+
+def _per_atom_reference(primes, first, last, values) -> DeviationReport:
+    """The deviation check written atom by atom in Fractions."""
+    points = atom_points(last - first + 1)
+    raw = [values[pt] for pt in points] if isinstance(values, dict) else list(values)
+    table = [Fraction(v) for v in raw]
+    masses = [atom_mass(primes, first, pt) for pt in points]
+    mean = sum((m * v for m, v in zip(masses, table)), Fraction(0))
+    lhs_squared = sum((m * (v - mean) ** 2 for m, v in zip(masses, table)), Fraction(0))
+    bound_squared = 16 * epsilon_defect(primes, first, last)
+    return DeviationReport(
+        passed=lhs_squared <= bound_squared,
+        lhs=math.sqrt(lhs_squared),
+        bound=math.sqrt(bound_squared),
+        lhs_squared=lhs_squared,
+        bound_squared=bound_squared,
+        mean=mean,
+    )
+
+
+@pytest.mark.parametrize("window", [(0, 0), (3, 3), (0, 2), (1, 3), (2, 4), (0, 4)])
+def test_common_denominator_matches_per_atom_fractions(window):
+    first, last = window
+    rng = random.Random(100 * first + last)
+    count = 2 ** (last - first + 1)
+    draws = {
+        "rational": lambda: Fraction(rng.randint(-97, 97), rng.randint(97, 200)),
+        "int": lambda: rng.choice((-1, 0, 1)),
+        "float": lambda: rng.uniform(-1, 1),
+        "mixed": lambda: rng.choice(
+            (Fraction(rng.randint(-9, 9), 9), rng.choice((-1, 1)), rng.uniform(-1, 1))
+        ),
+    }
+    for kind, draw in draws.items():
+        for _ in range(8):
+            seq = [draw() for _ in range(count)]
+            expected = _per_atom_reference(PRIMES, first, last, seq)
+            for values in (seq, dict(zip(atom_points(last - first + 1), seq))):
+                report = deviation_bound_check(PRIMES, first, last, values)
+                assert report == expected, kind
+                assert type(report.lhs_squared) is Fraction and type(report.mean) is Fraction
+
