@@ -6,7 +6,7 @@ handled as their integer codes (see `semidirect`), and each generator
 acts through its image table there.  This module computes the orbit
 partition of the product space by breadth-first search over those
 tables and, separately, the dimension of the space of invariant
-functions by exact rational elimination, so the two can be compared.
+functions by a union-find on the codes, so the two can be compared.
 """
 from __future__ import annotations
 
@@ -106,7 +106,13 @@ def diagonal_orbits(
             frontier = np.concatenate(parts)
         unlabeled = np.flatnonzero(label < 0)
     del images  # 12 code arrays of the product, not needed past the search
+    return _partition(indices, ps, label, starts)
 
+
+def _partition(
+    indices: tuple[int, ...], ps: tuple[int, ...], label: np.ndarray, starts: Sequence[int]
+) -> OrbitPartition:
+    """The partition giving code c the block `label[c]`; block i's least code is `starts[i]`."""
     points = product_points(ps)
     return OrbitPartition(
         indices=indices,
@@ -126,33 +132,23 @@ def zero_pattern_partition(
 
     Every part is a product over positions of either {0} or the nonzero
     triples of that block.  This is the candidate answer the BFS orbit
-    partition is compared against.
+    partition is compared against.  Parts are numbered in order of their
+    least code.
     """
     indices = tuple(indices)
     ps = tuple(primes.p(n) for n in indices)
     _check_size(ps, size_guard)
 
-    labels: dict[tuple[Triple, ...], int] = {}
-    pattern_to_bid: dict[tuple[bool, ...], int] = {}
-    sizes: list[int] = []
-    reps: list[tuple[Triple, ...]] = []
-    for point in product_points(ps):
-        pattern = tuple(t == (0, 0, 0) for t in point)
-        bid = pattern_to_bid.get(pattern)
-        if bid is None:
-            bid = len(sizes)
-            pattern_to_bid[pattern] = bid
-            sizes.append(0)
-            reps.append(point)
-        labels[point] = bid
-        sizes[bid] += 1
-    return OrbitPartition(
-        indices=indices,
-        primes_used=ps,
-        block_sizes=tuple(sizes),
-        representatives=tuple(reps),
-        labels=labels,
-    )
+    # a code's pattern has one bit per block, first block highest, set
+    # where that block's triple is zero (its code within the block is 0);
+    # built digit by digit in the mixed radix, as `product_image` is
+    pattern = np.zeros(1, dtype=np.int64)
+    for p in ps:
+        pattern = (2 * pattern[:, None] + (np.arange(p**3) == 0)).ravel()
+    _, first, inverse = np.unique(pattern, return_index=True, return_inverse=True)
+    del pattern  # free before the point tuples are built
+    order = np.argsort(first)  # patterns in order of their least code
+    return _partition(indices, ps, np.argsort(order)[inverse], first[order].tolist())
 
 
 def partitions_agree(a: OrbitPartition, b: OrbitPartition) -> bool:
@@ -175,44 +171,41 @@ def fixed_point_dimension(
 ) -> int:
     """Dimension of the space of functions invariant under every generator.
 
-    Solves the linear system F(x) = F(g x), over all generators g and
-    points x, by exact elimination; the answer is the number of points
-    minus the rank.  Independent of the BFS orbit computation.
+    F is invariant exactly when F(x) = F(g x) for every generator g and
+    point x, so the dimension is the number of classes of the
+    equivalence these pairs generate, and the rank of that linear system
+    is the number of points minus it.  The classes come from a union-find
+    on integer codes that reads only the generators' image tables: the
+    count is exact and independent of the BFS orbit computation.
 
-    Each constraint row F(x) - F(g x) has two entries, +1 and -1, and
-    eliminating such a row by another one leaves again at most two such
-    entries.  A pivot row normalized to leading +1 is therefore fully
-    described by its off-pivot column, and keeping every pivot row
-    reduced against the others turns each row reduction into a pair of
-    column walks.
+    `root[x]` is a code in the class of x.  For one generator at a time,
+    every pair (x, g x) whose roots differ hooks the larger root to the
+    smaller one (the least wins where several pairs hook the same root),
+    then pointer jumping `root = root[root]` flattens every chain; this
+    repeats until no pair of that generator has two roots.  Hooking only
+    from a higher code to a lower one keeps `root[x] <= x` throughout, so
+    there are no cycles, each round lowers the number of roots, and every
+    loop terminates.  The classes are the codes x with `root[x] == x`.
     """
     indices = tuple(indices)
     ps = tuple(primes.p(n) for n in indices)
     npoints = _check_size(ps, size_guard)
 
-    # pivot_off[c] = c' means the pivot row at column c is F(c) - F(c')
-    pivot_off: dict[int, int] = {}
-
-    def reduce_column(c: int) -> int:
-        # follow pivot substitutions until an unpivoted column remains,
-        # then rewrite the visited pivot rows against that column
-        chain = []
-        while c in pivot_off:
-            chain.append(c)
-            c = pivot_off[c]
-        for seen in chain:
-            pivot_off[seen] = c
-        return c
-
-    rank = 0
+    root = np.arange(npoints)
     for g in ELEMENTARY_GENERATORS:
-        # one constraint F(i) - F(g i) per code i, in code order
-        for i, j in enumerate(product_image(ps, g).tolist()):
-            if i == j:
-                continue
-            a, b = reduce_column(i), reduce_column(j)
-            if a == b:
-                continue  # row reduced to zero: dependent constraint
-            pivot_off[min(a, b)] = max(a, b)
-            rank += 1
-    return npoints - rank
+        # one generator's pairs at a time: holding all twelve image
+        # tables at once would raise the peak memory by their size
+        image = product_image(ps, g)
+        while True:
+            a, b = root, root[image]
+            live = a != b
+            if not live.any():
+                break
+            a, b = a[live], b[live]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
+    return int(np.count_nonzero(root == np.arange(npoints)))

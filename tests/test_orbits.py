@@ -1,12 +1,19 @@
 """Diagonal orbit structure of products of coordinate blocks."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
+import signal
+from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from amalgam import orbits
 from amalgam.matrices import ELEMENTARY_GENERATORS
 from amalgam.orbits import (
     SizeGuardExceeded,
@@ -18,7 +25,7 @@ from amalgam.orbits import (
 from amalgam.primes import PrimeSeq
 from amalgam.semidirect import KVector, block_points, product_image
 
-PRIMES = PrimeSeq.parse("2,3,5")
+PRIMES = PrimeSeq.parse("2,3,5,7")
 
 # Frozen oracle: sorted orbit sizes of the diagonal action, brute-forced
 # by a BFS independent of zero-pattern counting.  A product of blocks
@@ -82,6 +89,10 @@ def test_orbits_match_zero_patterns(indices):
     patterns = zero_pattern_partition(PRIMES, indices)
     assert partitions_agree(bfs, patterns)
     assert bfs.block_count == 2 ** len(indices)
+    # both number their parts by least code, so agreeing partitions are equal
+    assert patterns.block_sizes == bfs.block_sizes
+    assert patterns.representatives == bfs.representatives
+    assert patterns.labels == bfs.labels
 
 
 def test_zero_pattern_sizes_closed_form():
@@ -110,6 +121,134 @@ def test_fixed_point_dimension_is_two_per_block(count):
     indices = tuple(range(count))
     assert fixed_point_dimension(PRIMES, indices) == 2**count
     assert fixed_point_dimension(PRIMES, indices) == diagonal_orbits(PRIMES, indices).block_count
+
+
+@pytest.mark.parametrize("indices, blocks", [((), 1), ((0, 0), 5)])
+def test_fixed_point_dimension_counts_orbits(indices, blocks):
+    # no block gives one point; repeating the p = 2 block splits its pattern
+    # with both positions nonzero into pairs u = v and independent pairs
+    assert fixed_point_dimension(PRIMES, indices) == blocks
+    assert diagonal_orbits(PRIMES, indices).block_count == blocks
+
+
+def test_fixed_point_dimension_at_a_million_points():
+    # [3,5,7] has 1,157,625 points, beyond a per-pair Python walk
+    assert fixed_point_dimension(PRIMES, (1, 2, 3)) == 8
+
+
+def _component_count(n, maps):
+    """Connected components of the graph with an edge x -- m[x] per map."""
+    adjacent = [[] for _ in range(n)]
+    for m in maps:
+        for x, y in enumerate(m):
+            adjacent[x].append(y)
+            adjacent[y].append(x)
+    seen = [False] * n
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            for y in adjacent[queue.popleft()]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    return count
+
+
+def _pivot_walk_dimension(n, maps):
+    """Points minus the rank of the rows F(x) - F(m[x]), by the pivot walk
+    that computed the fixed-point dimension before the union-find."""
+    pivot_off = {}
+
+    def reduce_column(c):
+        chain = []
+        while c in pivot_off:
+            chain.append(c)
+            c = pivot_off[c]
+        for seen in chain:
+            pivot_off[seen] = c
+        return c
+
+    rank = 0
+    for m in maps:
+        for i, j in enumerate(m):
+            if i == j:
+                continue
+            a, b = reduce_column(i), reduce_column(j)
+            if a == b:
+                continue
+            pivot_off[min(a, b)] = max(a, b)
+            rank += 1
+    return n - rank
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a loop that
+    never ends fails instead of hanging the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def _point_maps(draw):
+    """Twelve self-maps of range(n) that keep a hidden partition of the
+    points into at most `parts` classes, so the class count ranges from 1
+    to n: permutations of each class, arbitrary maps into it, and maps
+    that move a few points and fix the rest."""
+    n = draw(st.integers(1, 200))
+    parts = draw(st.integers(1, n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    part_of = [rng.randrange(parts) for _ in range(n)]
+    members = [[x for x in range(n) if part_of[x] == k] for k in range(parts)]
+    maps = []
+    for kind in draw(st.lists(st.sampled_from("pam"), min_size=12, max_size=12)):
+        m = list(range(n))
+        if kind == "p":
+            for cls in members:
+                for x, y in zip(cls, rng.sample(cls, len(cls))):
+                    m[x] = y
+        else:
+            moved = range(n) if kind == "a" else rng.sample(range(n), rng.randint(0, min(n, 6)))
+            for x in moved:
+                m[x] = rng.choice(members[part_of[x]])
+        maps.append(m)
+    return n, maps
+
+
+# no shrink phase: shrinking an example that loops would rerun it up to
+# the time limit again and again
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    phases=(Phase.explicit, Phase.generate),
+)
+@given(_point_maps())
+def test_fixed_point_dimension_on_random_maps(case):
+    # the union-find must count the classes of any maps handed to it,
+    # not only of the permutations the generators induce
+    n, maps = case
+    images = iter([np.array(m, dtype=np.int64) for m in maps])
+    with pytest.MonkeyPatch.context() as mp, _time_limit(1.0):
+        mp.setattr(orbits, "_check_size", lambda ps, guard: n)
+        mp.setattr(orbits, "product_image", lambda ps, g: next(images))
+        dim = fixed_point_dimension(PRIMES, ())
+    assert dim == _component_count(n, maps) == _pivot_walk_dimension(n, maps)
 
 
 def test_size_guard_raises():
