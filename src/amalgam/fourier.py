@@ -11,17 +11,22 @@ which is trace preserving (the coefficient at 0 is the mean of f) and
 turns pointwise products into convolutions.  The matrix action on the
 block intertwines the two sides up to an inverse transpose, which
 `check_intertwiner` measures numerically.  Both transforms index a table
-of the p roots of unity by <x,y> mod p.  `GroupAlgebraElement.mul`
-convolves exact or complex operands on one block over lex point codes and
-all others in a pair loop over `Tower.mul`; the paths give the same
-coefficients, bit for bit in the complex case (see `_convolve_block`).
+of the p roots of unity by <x,y> mod p.
+
+`GroupAlgebraElement` is the one class for finitely supported
+combinations of words: the group algebra under convolution, and the
+square-summable vectors of `witness` (its `L2Vector`) under the inner
+product.  Its `mul` convolves exact or complex operands on one block over
+lex point codes and all others in a pair loop over `Tower.mul`; the paths
+give the same coefficients, bit for bit in the complex case (see
+`_convolve_block`).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 from numbers import Rational
 from typing import Mapping
 
@@ -66,13 +71,20 @@ def _as_values(p: int, f) -> np.ndarray:
     return arr
 
 
+def _abs_squared(c):
+    if isinstance(c, complex):
+        return c.real * c.real + c.imag * c.imag
+    return c * c
+
+
 @dataclass
 class GroupAlgebraElement:
     """Finitely supported combination of group basis elements u_w.
 
     Coefficients may be exact rationals or complex floats; convolution,
-    adjoint, and trace follow the group algebra rules.  Keys must be
-    reduced words of one tower.
+    adjoint, and trace follow the group algebra rules, and the Hermitian
+    pairing and norm those of l^2(G).  Keys must be reduced words of one
+    tower.
     """
 
     tower: Tower = field(repr=False)
@@ -87,6 +99,10 @@ class GroupAlgebraElement:
 
     def coefficient(self, word: GroupWord):
         return self.coeffs.get(word, 0)
+
+    @property
+    def support(self):
+        return self.coeffs.keys()
 
     @property
     def support_size(self) -> int:
@@ -148,6 +164,25 @@ class GroupAlgebraElement:
 
     def sub(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self.add(other.scale(-1))
+
+    def inner(self, other: "GroupAlgebraElement"):
+        """Hermitian pairing, conjugate-linear in self."""
+        total = 0
+        small, big = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        for w, c in small.coeffs.items():
+            d = big.coeffs.get(w)
+            if d is None:
+                continue
+            a, b = (c, d) if small is self else (d, c)
+            a = a.conjugate() if isinstance(a, complex) else a
+            total += a * b
+        return total
+
+    def norm_squared(self):
+        return sum(_abs_squared(c) for c in self.coeffs.values())
+
+    def norm(self) -> float:
+        return sqrt(self.norm_squared())
 
     def is_exact(self) -> bool:
         return all(isinstance(c, Rational) for c in self.coeffs.values())

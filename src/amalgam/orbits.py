@@ -7,6 +7,8 @@ acts through its image table there.  This module computes the orbit
 partition of the product space by breadth-first search over those
 tables and, separately, the dimension of the space of invariant
 functions by a union-find on the codes, so the two can be compared.
+A partition keeps its labels as an array indexed by point code; only
+the least point of each part is decoded to coordinate triples.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .matrices import ELEMENTARY_GENERATORS
 from .primes import PrimeSeq
-from .semidirect import product_image, product_points
+from .semidirect import block_points, codes, product_image
 
 __all__ = [
     "OrbitPartition",
@@ -52,22 +54,31 @@ class OrbitPartition:
     """Deterministic orbit partition of a product of blocks.
 
     Blocks are numbered in order of their lexicographically least point,
-    and `representatives[i]` is that least point.  `labels` maps every
-    point (a tuple of coordinate triples) to its block number.
+    and `representatives[i]` is that least point.  `labels` is an int64
+    array giving the block number of every point at its code (see
+    `semidirect`), which is also its lexicographic index.
     """
 
     indices: tuple[int, ...]
     primes_used: tuple[int, ...]
     block_sizes: tuple[int, ...]
     representatives: tuple[tuple[Triple, ...], ...]
-    labels: dict = field(repr=False)
+    labels: np.ndarray = field(repr=False)
 
     @property
     def block_count(self) -> int:
         return len(self.block_sizes)
 
     def block_of(self, point: tuple[Triple, ...]) -> int:
-        return self.labels[point]
+        """Block number of a point: one reduced triple per block, else KeyError."""
+        if len(point) != len(self.primes_used):
+            raise KeyError(point)
+        code = 0
+        for p, x in zip(self.primes_used, point):
+            if len(x) != 3 or not all(0 <= v < p for v in x):
+                raise KeyError(point)
+            code = code * p**3 + int(codes(x, p))
+        return int(self.labels[code])
 
 
 def diagonal_orbits(
@@ -105,7 +116,6 @@ def diagonal_orbits(
                 parts.append(reached)
             frontier = np.concatenate(parts)
         unlabeled = np.flatnonzero(label < 0)
-    del images  # 12 code arrays of the product, not needed past the search
     return _partition(indices, ps, label, starts)
 
 
@@ -113,13 +123,19 @@ def _partition(
     indices: tuple[int, ...], ps: tuple[int, ...], label: np.ndarray, starts: Sequence[int]
 ) -> OrbitPartition:
     """The partition giving code c the block `label[c]`; block i's least code is `starts[i]`."""
-    points = product_points(ps)
+    representatives = []
+    for code in starts:  # mixed-radix digits, last block lowest
+        point = []
+        for p in reversed(ps):
+            code, c = divmod(code, p**3)
+            point.append(block_points(p)[c])
+        representatives.append(tuple(reversed(point)))
     return OrbitPartition(
         indices=indices,
         primes_used=ps,
         block_sizes=tuple(np.bincount(label).tolist()),
-        representatives=tuple(points[c] for c in starts),
-        labels=dict(zip(points, label.tolist())),
+        representatives=tuple(representatives),
+        labels=label,
     )
 
 
@@ -146,22 +162,20 @@ def zero_pattern_partition(
     for p in ps:
         pattern = (2 * pattern[:, None] + (np.arange(p**3) == 0)).ravel()
     _, first, inverse = np.unique(pattern, return_index=True, return_inverse=True)
-    del pattern  # free before the point tuples are built
     order = np.argsort(first)  # patterns in order of their least code
     return _partition(indices, ps, np.argsort(order)[inverse], first[order].tolist())
 
 
 def partitions_agree(a: OrbitPartition, b: OrbitPartition) -> bool:
-    """Whether two partitions of the same point set have identical parts."""
-    if a.labels.keys() != b.labels.keys():  # set comparison without copying
-        return False
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    for point, la in a.labels.items():
-        lb = b.labels[point]
-        if fwd.setdefault(la, lb) != lb or bwd.setdefault(lb, la) != la:
-            return False
-    return True
+    """Whether two partitions of the same point set have identical parts.
+
+    Both builders number parts in order of their least code, so identical
+    parts give equal label arrays and the arrays are compared directly.
+    Equal arrays always mean identical parts, whatever the numbering: a
+    numbering fault can only make agreeing partitions read as disagreeing,
+    never let disagreeing ones pass.
+    """
+    return a.primes_used == b.primes_used and np.array_equal(a.labels, b.labels)
 
 
 def fixed_point_dimension(

@@ -38,7 +38,6 @@ __all__ = [
     "point_array",
     "codes",
     "image_table",
-    "product_points",
     "product_image",
 ]
 
@@ -74,11 +73,6 @@ def image_table(p: int, g: LambdaMatrix) -> np.ndarray:
     table = codes((point_array(p) @ rows.T) % p, p)
     table.flags.writeable = False
     return table
-
-
-def product_points(ps: Sequence[int]) -> list[tuple[Triple, ...]]:
-    """The points of the product of blocks mod `ps`, in code order."""
-    return list(itertools.product(*map(block_points, ps)))
 
 
 def product_image(ps: Sequence[int], g: LambdaMatrix) -> np.ndarray:

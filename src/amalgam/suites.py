@@ -162,35 +162,30 @@ class _Recorder:
         self.suite = suite
         self.checks: list[dict] = []
 
-    def add(self, check: str, parameters: dict, outcome: str, started: float, **extra) -> dict:
-        record = {
-            "suite": self.suite,
-            "check": check,
-            "parameters": parameters,
-            "outcome": outcome,
-            "elapsed_s": round(time.perf_counter() - started, 6),
-        }
-        record.update(extra)
-        self.checks.append(record)
-        return record
+    def run(self, check: str, parameters: dict, fn) -> None:
+        """Record fn() -> (outcome, extra), the size guard mapped to a skip.
 
-    def run(self, check: str, parameters: dict, fn) -> dict:
-        """Run fn() -> (outcome, extra) with the size guard mapped to a skip.
-
-        Any other exception is recorded as the check's failure, with an
-        `error` field "<Type>: <message>" and the traceback on stderr, so
-        the suite runs its remaining checks.
+        A skip carries its reason in extra as {"reason": ...}.  Any other
+        exception is recorded as the check's failure, with an `error`
+        field "<Type>: <message>" and the traceback on stderr, so the
+        suite runs its remaining checks.
         """
         started = time.perf_counter()
         try:
             outcome, extra = fn()
         except SizeGuardExceeded as exc:
-            return self.add(check, parameters, "skip", started, reason=str(exc))
+            outcome, extra = "skip", {"reason": str(exc)}
         except Exception as exc:
             traceback.print_exc(file=sys.stderr)
-            error = f"{type(exc).__name__}: {exc}"
-            return self.add(check, parameters, "fail", started, error=error)
-        return self.add(check, parameters, outcome, started, **extra)
+            outcome, extra = "fail", {"error": f"{type(exc).__name__}: {exc}"}
+        self.checks.append({
+            "suite": self.suite,
+            "check": check,
+            "parameters": parameters,
+            "outcome": outcome,
+            "elapsed_s": round(time.perf_counter() - started, 6),
+            **extra,
+        })
 
 
 def _verdict(ok: bool) -> str:
@@ -271,18 +266,16 @@ def _suite_icc(config: SuiteConfig) -> list[dict]:
         ("level-2", tower.mul(tower.stable(2), tower.stable(1))),
     ]
     for region, g in panel:
-        if isinstance(g, str):
-            rec.add("conjugate-growth", {"element": g, "region": region}, "skip",
-                    time.perf_counter(), reason="block 1 not configured: needs at least 2 primes")
-            continue
-
         def growth(g=g):
+            if isinstance(g, str):
+                return "skip", {"reason": "block 1 not configured: needs at least 2 primes"}
             profile = tower.conjugate_growth_profile(g, config.radius)
             monotone = all(a <= b for a, b in zip(profile, profile[1:]))
             rich = profile[min(3, config.radius)] >= 5 if config.radius >= 3 else True
             return _verdict(monotone and rich), {"profile": list(profile)}
 
-        rec.run("conjugate-growth", {"element": g.format(), "region": region}, growth)
+        element = g if isinstance(g, str) else g.format()
+        rec.run("conjugate-growth", {"element": element, "region": region}, growth)
     return rec.checks
 
 
@@ -360,15 +353,13 @@ def _suite_fourier(config: SuiteConfig) -> list[dict]:
 
         def round_trip(n=n, p=p):
             f = random_function(p)
-            back = inverse_fourier(fourier(tower, n, f), n)
+            coeffs = fourier(tower, n, f)
+            back = inverse_fourier(coeffs, n)
             dev = float(np.max(np.abs(back - f)))
             mean = complex(np.mean(f))
-            trace = fourier(tower, n, f).trace()
-            trace_dev = abs(complex(trace) - mean)
+            trace_dev = abs(complex(coeffs.trace()) - mean)
             norm_fun = math.sqrt(float(np.sum(np.abs(f) ** 2)) / p**3)
-            norm_coeff = math.sqrt(
-                sum(abs(c) ** 2 for c in fourier(tower, n, f).coeffs.values())
-            )
+            norm_coeff = math.sqrt(sum(abs(c) ** 2 for c in coeffs.coeffs.values()))
             plancherel_dev = abs(norm_fun - norm_coeff)
             ok = dev <= tol and trace_dev <= tol and plancherel_dev <= tol
             return _verdict(ok), {
@@ -512,13 +503,11 @@ def _suite_xi(config: SuiteConfig) -> list[dict]:
             if g is None:
                 if expected:
                     return "fail", {"witness": None, "note": "expected a witness in range"}
-                return "skip", {}
+                return "skip", {"reason": "no violating conjugator at search radius 2; inconclusive"}
             moved = not block_stabilized(tower, n, g)
             return _verdict(moved and expected), {"witness": g.format()}
 
-        record = rec.run("violation-search", {"cutoff": N, "n": n}, probe)
-        if record["outcome"] == "skip":
-            record["reason"] = "no violating conjugator at search radius 2; inconclusive"
+        rec.run("violation-search", {"cutoff": N, "n": n}, probe)
     return rec.checks
 
 

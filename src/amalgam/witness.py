@@ -1,5 +1,8 @@
 """Adjoint action on finitely supported square-summable vectors.
 
+A vector is a `GroupAlgebraElement` (public here as `L2Vector`): the
+same finitely supported combination of words, read through its
+`inner`, `norm_squared` and `support` rather than its convolution.
 Basis vectors are indexed by reduced words compared by representation;
 base-lattice words have a unique representation, and a single
 conjugation relabels any support injectively, so every check in this
@@ -16,12 +19,12 @@ coefficients are rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
+from .fourier import GroupAlgebraElement as L2Vector
 from .semidirect import codes
 from .words import GroupWord, Tower
 
@@ -39,72 +42,6 @@ __all__ = [
     "OrthogonalityReport",
     "orthogonality_inequality_check",
 ]
-
-
-def _abs_squared(c):
-    if isinstance(c, complex):
-        return c.real * c.real + c.imag * c.imag
-    return c * c
-
-
-@dataclass
-class L2Vector:
-    """Finitely supported vector: reduced-word keys, numeric coefficients."""
-
-    tower: Tower = field(repr=False)
-    coeffs: dict[GroupWord, object]
-
-    def __post_init__(self) -> None:
-        self.coeffs = {w: c for w, c in self.coeffs.items() if c != 0}
-
-    @property
-    def support(self):
-        return self.coeffs.keys()
-
-    @property
-    def support_size(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient(self, w: GroupWord):
-        return self.coeffs.get(w, 0)
-
-    def add(self, other: "L2Vector") -> "L2Vector":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-        return L2Vector(self.tower, out)
-
-    def scale(self, factor) -> "L2Vector":
-        return L2Vector(self.tower, {w: factor * c for w, c in self.coeffs.items()})
-
-    def sub(self, other: "L2Vector") -> "L2Vector":
-        return self.add(other.scale(-1))
-
-    def inner(self, other: "L2Vector"):
-        """Hermitian pairing, conjugate-linear in self."""
-        total = 0
-        small, big = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        for w, c in small.coeffs.items():
-            d = big.coeffs.get(w)
-            if d is None:
-                continue
-            a, b = (c, d) if small is self else (d, c)
-            a = a.conjugate() if isinstance(a, complex) else a
-            total += a * b
-        return total
-
-    def norm_squared(self):
-        return sum(_abs_squared(c) for c in self.coeffs.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def is_exact(self) -> bool:
-        return all(isinstance(c, Rational) for c in self.coeffs.values())
-
-    def equals(self, other: "L2Vector") -> bool:
-        return self.coeffs == other.coeffs
 
 
 def delta(tower: Tower, w: GroupWord) -> L2Vector:

@@ -59,10 +59,12 @@ _STABLE = 1
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupWord:
-    """Immutable reduced word.  Build these through a Tower, never directly.
+    """Immutable reduced word, built only through a Tower.
 
+    Calling `GroupWord(...)` raises TypeError: a word built outside the
+    tower could be an identity that is not the tower's identity word.
     Structural equality/hash compare the representation, not the group
     element; use Tower.eq for element equality.  The tower's single
     identity word is the only identity word, and the word remembers its
@@ -72,9 +74,12 @@ class GroupWord:
 
     tower: "Tower" = field(compare=False, repr=False)
     level: int
-    g0: G0Element | None = None
-    factors: tuple["GroupWord", ...] = ()
-    exponents: tuple[int, ...] = ()
+    g0: G0Element | None
+    factors: tuple["GroupWord", ...]
+    exponents: tuple[int, ...]
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("build words through a Tower (h, lam, g0, stable, mul, ...)")
 
     @property
     def is_identity(self) -> bool:

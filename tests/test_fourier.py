@@ -101,6 +101,16 @@ def test_plancherel(tw: Tower):
         assert abs(norm_fun - norm_coeff) < TOL
 
 
+def test_plancherel_through_the_vector_norm(tw: Tower):
+    # a transform is also an l^2 vector: its squared norm is the mean of |f|^2
+    rng = random.Random(10)
+    for n in range(len(PRIMES)):
+        f = _random_function(rng, PRIMES.p(n))
+        el = fourier(tw, n, f)
+        assert el.norm_squared() == pytest.approx(float(np.mean(np.abs(f) ** 2)), rel=1e-12)
+        assert el.norm() ** 2 == pytest.approx(el.inner(el).real, rel=1e-12)
+
+
 def test_pointwise_product_becomes_convolution(tw: Tower):
     rng = random.Random(12)
     p, n = 3, 1

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import random
@@ -76,11 +77,11 @@ def test_orbit_numbering_frozen():
     # public behaviour: pin the unsorted sizes and check each representative
     part = diagonal_orbits(PRIMES, (0, 1, 2))
     assert part.block_sizes == (1, 124, 26, 3224, 7, 868, 182, 22568)
-    least: dict[int, tuple] = {}
-    for point, bid in part.labels.items():
-        if bid not in least or point < least[bid]:
-            least[bid] = point
-    assert part.representatives == tuple(least[bid] for bid in range(part.block_count))
+    points = list(itertools.product(*map(block_points, part.primes_used)))
+    assert part.labels.shape == (len(points),)
+    least = [min(points[c] for c in np.flatnonzero(part.labels == bid))
+             for bid in range(part.block_count)]
+    assert part.representatives == tuple(least)
 
 
 @pytest.mark.parametrize("indices", [(0,), (0, 1), (0, 1, 2)])
@@ -92,7 +93,7 @@ def test_orbits_match_zero_patterns(indices):
     # both number their parts by least code, so agreeing partitions are equal
     assert patterns.block_sizes == bfs.block_sizes
     assert patterns.representatives == bfs.representatives
-    assert patterns.labels == bfs.labels
+    assert np.array_equal(patterns.labels, bfs.labels)
 
 
 def test_zero_pattern_sizes_closed_form():
@@ -110,10 +111,29 @@ def test_partitions_agree_is_strict():
     assert not partitions_agree(a, b)  # different point sets
 
 
+def test_partitions_agree_sees_one_moved_point():
+    a = diagonal_orbits(PRIMES, (0, 1))
+    b = zero_pattern_partition(PRIMES, (0, 1))
+    assert partitions_agree(a, b) and partitions_agree(b, a)
+    for code in (0, 100, len(b.labels) - 1):
+        moved = dataclasses.replace(b, labels=b.labels.copy())
+        moved.labels[code] = (moved.labels[code] + 1) % moved.block_count
+        assert not partitions_agree(a, moved) and not partitions_agree(moved, a)
+
+
 def test_block_of_representatives():
     part = diagonal_orbits(PRIMES, (0, 1))
     for bid, rep in enumerate(part.representatives):
         assert part.block_of(rep) == bid
+
+
+def test_block_of_reads_the_label_at_every_point():
+    part = diagonal_orbits(PRIMES, (0, 1))
+    points = itertools.product(*map(block_points, part.primes_used))
+    assert [part.block_of(pt) for pt in points] == part.labels.tolist()
+    for foreign in (((2, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, -1)), ((0, 0, 0),), ((0, 0), (0, 0, 0))):
+        with pytest.raises(KeyError):
+            part.block_of(foreign)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import amalgam
+from amalgam.fourier import GroupAlgebraElement
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
 from amalgam.witness import (
@@ -41,11 +43,19 @@ def test_l2_vector_basics(tw: Tower):
     assert w.coefficient(tw.stable(1)) == 1
 
 
+def test_l2_vector_is_the_group_algebra_element(tw: Tower):
+    assert L2Vector is GroupAlgebraElement and amalgam.L2Vector is amalgam.GroupAlgebraElement
+    v = xi(tw, 1)
+    assert v.star().equals(v)  # a uniform block vector is self-adjoint
+    assert v.inner(delta(tw, tw.identity())) == v.trace()
+
+
 def test_inner_is_conjugate_linear_in_self(tw: Tower):
     a = L2Vector(tw, {tw.identity(): 1 + 1j})
     b = L2Vector(tw, {tw.identity(): 2j})
     assert a.inner(b) == (1 - 1j) * 2j
     assert abs(a.inner(a) - a.norm_squared()) < 1e-12
+    assert a.norm_squared() == 2.0  # re*re + im*im; abs(c)**2 reads 2.0000000000000004
 
 
 def test_xi_is_uniform_unit_vector(tw: Tower):
