@@ -178,9 +178,12 @@ def orthogonality_inequality_check(y: L2Vector, cutoff: int) -> OrthogonalityRep
     g = tw.stable(cutoff + 1)
     expected = conditional_expectation(y, cutoff)
     residual = y.sub(expected)
-    moved = adjoint_apply(g, residual)
-    disjoint = all(not tw.in_k(w) for w in moved.support)
-    difference = adjoint_apply(g, y).sub(y)
+    # one conjugation per key: the residual's keys are a subset of y's,
+    # and adjoint_apply keeps y's key order
+    moved = adjoint_apply(g, y)
+    image = dict(zip(y.coeffs, moved.coeffs))
+    disjoint = all(not tw.in_k(image[w]) for w in residual.coeffs)
+    difference = moved.sub(y)
     lhs_squared = difference.norm_squared()
     rhs_squared = residual.norm_squared()
     return OrthogonalityReport(

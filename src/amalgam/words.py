@@ -27,11 +27,20 @@ later results (and reports) are built from.
 
 Validation happens at the boundary: `Tower.h`, `k_vector`, `lam` and the
 element grammar build their parts through the checking constructors, and
-`Tower.mul`/`inv` refuse words of a tower with other primes.  Results of
-arithmetic are built from such parts by the private `_word` constructor
-without re-checking.  A level-0 product with an identity operand returns
-the other operand when it belongs to this tower: level-0 words are
-canonical, so this is the same element in the same representation.
+`Tower.mul`/`inv`/`eq` (and so `conj`) refuse words of a tower with other
+primes.  Results of arithmetic are built from such parts by the private
+`_word` constructor without re-checking.  A level-0 product with an
+identity operand returns the other operand when it belongs to this tower:
+level-0 words are canonical, so this is the same element in the same
+representation.
+
+`Tower.conj` of a lattice element (level 0, identity matrix) skips the
+rewriting engine while the conjugate stays in K: a matrix acts on the
+vector blockwise, and t(L)^m fixes a vector of the glued subgroup, so the
+vector is moved factor by factor and wrapped as a level-0 word.  Since a
+reduced word of level >= 1 never lies in G_0, the engine would have
+returned that same canonical word.  A vector that leaves the glued
+subgroup before a stable power is crossed goes back to the engine.
 """
 from __future__ import annotations
 
@@ -47,7 +56,7 @@ from .matrices import (
     generator_ball,
 )
 from .primes import PrimeSeq
-from .semidirect import G0Element, KVector, ZERO_K, block_points
+from .semidirect import G0Element, KVector, ZERO_K, _g0, block_points
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
@@ -371,11 +380,47 @@ class Tower:
         return out
 
     def conj(self, g: GroupWord, h: GroupWord) -> GroupWord:
-        """The conjugate h * g * h^{-1}, reduced."""
+        """The conjugate h * g * h^{-1}, reduced.
+
+        A lattice target (level 0, identity matrix) of this tower, conjugated
+        by a word of this tower, is moved on its vector directly while it
+        stays in K (see `_conj_k`).  Such a result is a level-0 word, and
+        level-0 words are canonical, while a reduced word at level >= 1
+        never lies in G_0; so this is the word the rewriting engine would
+        return.  Every other case, and a target that leaves K on the way,
+        is reduced by the engine.
+        """
+        if g.level == 0 and g.tower is self and h.tower is self and g.g0.lam.rows == _ID_ROWS:
+            k = self._conj_k(g.g0.k, h)
+            if k is not None:
+                return g if k is g.g0.k else self.g0(_g0(k, IDENTITY_MATRIX))
         return self.mul(self.mul(h, g), self.inv(h))
+
+    def _conj_k(self, k: KVector, h: GroupWord) -> KVector | None:
+        """The vector of h k h^{-1} for k in K, or None once it leaves K.
+
+        At level 0, (k_h, L)(k, I)(k_h, L)^{-1} = (L k, I).  At level L >= 1
+        the factors x_r, ..., x_0 conjugate in turn, innermost first, and
+        t(L)^m fixes k when k lies in the glued subgroup K_{L-1} (the test
+        `_push_stable` folds with); any other k stops the walk.
+        """
+        if h.level == 0:
+            lam = h.g0.lam
+            return k if lam.rows == _ID_ROWS else k.act(lam, self.primes)
+        cutoff = h.level - 1
+        factors = h.factors
+        for i in range(len(h.exponents), 0, -1):
+            k = self._conj_k(k, factors[i])
+            if k is None or not k.supported_at_or_above(cutoff):
+                return None
+        return self._conj_k(k, factors[0])
 
     def eq(self, a: GroupWord, b: GroupWord) -> bool:
         """Element equality, decided by reducing a * b^{-1}."""
+        if a.tower is not self:
+            self._check(a)
+        if b.tower is not self:
+            self._check(b)
         if a is b or a == b:
             return True
         return self.mul(a, self.inv(b)).is_identity

@@ -398,3 +398,62 @@ def test_glued_subgroup_membership_reads_the_lowest_block(tw: Tower):
             assert tw.membership(k, f"K{cutoff}") == tw.in_kn(k, cutoff)
             assert not tw.in_kn(moved, cutoff)
             assert not tw.in_kn(lifted, cutoff)
+
+
+def _conj_cases(tw: Tower, seed: int):
+    """(target, conjugator) pairs at levels 0-3: lattice targets on both
+    sides of each conjugator's cutoff, the identity, and non-lattice words."""
+    sampler = Sampler(tw, seed=seed)
+    blocks = range(len(tw.primes))
+    for i in range(240):
+        level = i % 4
+        if level and i % 3 == 0:
+            h = sampler.reduced_word(level, syllables=1 + i % 2)
+        else:
+            h = sampler.word(5, level_cap=level)
+        cutoff = max(level - 1, 0)
+        targets = [sampler.lattice_word(blocks), sampler.lattice_word_in(cutoff), tw.identity(),
+                   sampler.word(4, level_cap=3), tw.lam(ELEMENTARY_GENERATORS[i % 12])]
+        if cutoff:
+            targets.append(sampler.lattice_word_escaping(cutoff))
+        for g in targets:
+            yield g, h
+
+
+def test_conj_agrees_with_the_rewriting_engine(tw: Tower):
+    stayed = escaped = 0
+    for g, h in _conj_cases(tw, seed=71):
+        image = tw.conj(g, h)
+        assert image == tw.mul(tw.mul(h, g), tw.inv(h)), (g, h)
+        if g.is_identity:
+            assert image is tw.identity()
+        if tw.in_k(g):
+            stayed += tw.in_k(image)
+            escaped += image.level > 0
+    assert stayed > 500 and escaped > 100
+
+
+def test_conj_of_a_lattice_element_that_stays_in_k_skips_the_engine():
+    tw = Tower(PRIMES)
+    calls = []
+    engine = tw.mul
+    tw.mul = lambda a, b: calls.append(1) or engine(a, b)
+    t2, t3 = tw.stable(2), tw.stable(3, -1)
+    shear = tw.lam(ELEMENTARY_GENERATORS[0])
+    h = tw.reduce([shear, t3, tw.h(0, (1, 0, 0)), t2, shear, tw.inv(t2)])
+    assert h.level == 3
+    g = tw.h(2, (0, 1, 0))  # the shear, applied twice, moves it to (2, 1, 0)
+    calls.clear()
+    image = tw.conj(g, h)
+    assert not calls
+    assert image == tw.mul(tw.mul(h, g), tw.inv(h)) == tw.h(2, (2, 1, 0))
+
+
+def test_conj_and_eq_reject_foreign_words():
+    ours, theirs = Tower(PrimeSeq.parse("2,3")), Tower(PrimeSeq.parse("2,5"))
+    a, b = ours.h(1, (1, 0, 0)), theirs.h(1, (1, 0, 0))
+    assert a == b  # the same representation of elements of different groups
+    for op in (ours.eq, ours.conj):
+        for args in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="tower"):
+                op(*args)
