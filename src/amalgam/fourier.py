@@ -152,7 +152,12 @@ class GroupAlgebraElement:
             out[tw.inv(w)] = c.conjugate() if isinstance(c, complex) else c
         return GroupAlgebraElement(tw, out)
 
+    def _check(self, other: "GroupAlgebraElement") -> None:
+        if self.tower is not other.tower and self.tower.primes != other.tower.primes:
+            raise ValueError("cannot mix elements over towers with different primes")
+
     def add(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        self._check(other)
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             prev = out.get(w)
@@ -167,6 +172,7 @@ class GroupAlgebraElement:
 
     def inner(self, other: "GroupAlgebraElement"):
         """Hermitian pairing, conjugate-linear in self."""
+        self._check(other)
         total = 0
         small, big = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         for w, c in small.coeffs.items():

@@ -7,8 +7,11 @@
     x * y                    product
     x^m                      integer power (so x^-1 is the inverse)
 
-Whitespace is insignificant.  Syntax errors report the offset at which
-parsing failed.
+Integers are an optional sign and ASCII digits 0-9; any other digit is a
+syntax error.  Whitespace (every character for which `str.isspace` is
+true) is insignificant.  Each atom's tokens are declared once and compiled
+to one pattern, `^m` tail included; where it fails, the same tokens are
+walked one at a time, so syntax errors report the offset that failed.
 
 A parsed element is also rejected, as an ElementSyntaxError, when its
 matrix entries outgrow MAX_ENTRY_BITS bits, summed over its syllables.
@@ -20,7 +23,10 @@ printing an int.
 """
 from __future__ import annotations
 
-from .matrices import IDENTITY_MATRIX
+import re
+from typing import NoReturn
+
+from .matrices import IDENTITY_MATRIX, LambdaMatrix
 from .words import GroupWord, Tower
 
 __all__ = [
@@ -42,88 +48,73 @@ class UnconfiguredPrimeError(ValueError):
     """A block index beyond the configured prime prefix."""
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, expected: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(expected, self.pos):
-            raise ElementSyntaxError(f"expected {expected!r}", self.pos)
-        self.pos += len(expected)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise ElementSyntaxError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def int_list(self, count: int, sep: str) -> list[int]:
-        out = [self.integer()]
-        for _ in range(count - 1):
-            self.take(sep)
-            out.append(self.integer())
-        return out
-
-    @property
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+INT = None  # the integer token: an optional sign and ASCII digits
+_ROW = (INT, ",", INT, ",", INT)
+_ATOMS = {tokens[0]: tokens for tokens in (  # keyed by the first character
+    ("e",),
+    ("h", "(", INT, ";", *_ROW, ")"),
+    ("L", "[", *_ROW, ";", *_ROW, ";", *_ROW, "]"),
+    ("t", "(", INT, ")"),
+)}
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_STAR = re.compile(r"\s*\*\s*")
+_END = re.compile(r"\s*\Z")
 
 
-def _atom(scanner: _Scanner, tower: Tower) -> GroupWord:
-    ch = scanner.peek()
-    if ch == "e":
-        scanner.take("e")
-        return tower.identity()
-    if ch == "h":
-        scanner.take("h")
-        scanner.take("(")
-        n = scanner.integer()
-        scanner.take(";")
-        coords = scanner.int_list(3, ",")
-        scanner.take(")")
+def _compile(tokens: tuple) -> tuple[re.Pattern, int]:
+    """The atom's pattern, with groups for its integers, the tail (`^m` or the
+    spaces after the atom, so it starts where the atom ends) and m."""
+    body = "".join(r"\s*" + (f"({_INTEGER.pattern})" if t is INT else re.escape(t)) for t in tokens)
+    return re.compile(rf"{body}(\s*\^\s*({_INTEGER.pattern})|\s*)"), tokens.count(INT)
+
+
+_PATTERNS = {first: _compile(tokens) for first, tokens in _ATOMS.items()}
+
+
+def _walk(text: str, pos: int, tokens: tuple) -> int:
+    """The offset after `tokens` at `pos`, or the error at the first that fails."""
+    for token in tokens:
+        pos = _SPACE.match(text, pos).end()
+        if token is INT:
+            m = _INTEGER.match(text, pos)
+            if m is None:
+                raise ElementSyntaxError("expected an integer", pos)
+            pos = m.end()
+        elif text.startswith(token, pos):
+            pos += len(token)
+        else:
+            raise ElementSyntaxError(f"expected {token!r}", pos)
+    return pos
+
+
+def _fail(text: str, pos: int) -> NoReturn:
+    """Raise the error in the term at `pos` or in what follows it."""
+    tokens = _ATOMS.get(text[pos : pos + 1])
+    if tokens is None:
+        raise ElementSyntaxError("expected an atom (e, h, L, or t)", pos)
+    pos = _SPACE.match(text, _walk(text, pos, tokens)).end()
+    if text.startswith("^", pos):
+        pos = _SPACE.match(text, _walk(text, pos, ("^", INT))).end()
+    raise ElementSyntaxError("expected '*'", pos)
+
+
+def _atom(tower: Tower, first: str, values: list[int], end: int) -> GroupWord:
+    if first == "h":
         try:
-            return tower.h(n, coords)
+            return tower.h(values[0], values[1:])
         except IndexError as exc:
             raise UnconfiguredPrimeError(str(exc)) from None
-    if ch == "L":
-        scanner.take("L")
-        scanner.take("[")
-        rows = [scanner.int_list(3, ",")]
-        scanner.take(";")
-        rows.append(scanner.int_list(3, ","))
-        scanner.take(";")
-        rows.append(scanner.int_list(3, ","))
-        scanner.take("]")
+    if first == "L":
         try:
-            return tower.lam(rows)
+            return tower.lam(LambdaMatrix((tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9]))))
         except ValueError as exc:
-            raise ElementSyntaxError(str(exc), scanner.pos)
-    if ch == "t":
-        scanner.take("t")
-        scanner.take("(")
-        level = scanner.integer()
-        scanner.take(")")
-        if level < 1:
-            raise ElementSyntaxError(f"stable letters start at level 1, got {level}", scanner.pos)
-        return tower.stable(level)
-    raise ElementSyntaxError("expected an atom (e, h, L, or t)", scanner.pos)
+            raise ElementSyntaxError(str(exc), end)
+    if first == "t":
+        if values[0] < 1:
+            raise ElementSyntaxError(f"stable letters start at level 1, got {values[0]}", end)
+        return tower.stable(values[0])
+    return tower.identity()
 
 
 def _matrix_bits(lam) -> int:
@@ -152,32 +143,37 @@ def _bounded(word: GroupWord, position: int) -> int:
     return bits
 
 
-def _term(scanner: _Scanner, tower: Tower) -> tuple[GroupWord, int]:
-    """The next atom or power, with its entry bits."""
-    word = _atom(scanner, tower)
-    position = scanner.pos
-    if scanner.peek() == "^":
-        scanner.take("^")
-        m = scanner.integer()
-        if word.level == 0:
+def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
+    """The atom or power at `pos`, its entry bits, and the offset after it."""
+    first = text[pos : pos + 1]
+    pattern, count = _PATTERNS.get(first, (None, 0))
+    m = pattern and pattern.match(text, pos)
+    if not m:
+        _fail(text, pos)
+    groups = m.groups()
+    end = m.start(count + 1)
+    word = _atom(tower, first, list(map(int, groups[:count])), end)
+    if groups[-1] is not None:
+        power = int(groups[-1])
+        if word.level == 0 and not -1 <= power <= 1:
             # square the matrix as the power will, and give up as soon as
             # a square outgrows the cap rather than after the last one
-            lam = word.g0.lam if m >= 0 else word.g0.lam.inverse()
-            for _ in range(abs(m).bit_length() - 1):
+            lam = word.g0.lam if power >= 0 else word.g0.lam.inverse()
+            for _ in range(power.bit_length() - 1):
                 lam = lam * lam
                 if _matrix_bits(lam) > MAX_ENTRY_BITS:
-                    raise _too_large(position)
-        word = word**m
-    return word, _bounded(word, position)
+                    raise _too_large(end)
+        word = word**power
+    return word, _bounded(word, end), m.end()
 
 
 def parse_element(tower: Tower, text: str) -> GroupWord:
     """Parse element text into a reduced word over `tower`."""
-    scanner = _Scanner(text)
-    word, bits = _term(scanner, tower)
-    while not scanner.done:
-        scanner.take("*")
-        term, term_bits = _term(scanner, tower)
+    start = _SPACE.match(text).end()
+    word, bits, pos = _term(tower, text, start)
+    while not _END.match(text, pos):
+        start = (_STAR.match(text, pos) or _fail(text, start)).end()
+        term, term_bits, pos = _term(tower, text, start)
         word = tower.mul(word, term)
         # `bits` bounds the entry bits of `word` from above: a term has at
         # most one syllable with a matrix other than the identity, and one
@@ -185,7 +181,7 @@ def parse_element(tower: Tower, text: str) -> GroupWord:
         # so the exact count is needed only once the bound passes the cap
         bits += term_bits + 2
         if bits > MAX_ENTRY_BITS:
-            bits = _bounded(word, scanner.pos)
+            bits = _bounded(word, pos)
     return word
 
 

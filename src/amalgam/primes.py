@@ -104,8 +104,10 @@ class PrimeSeq:
         return iter(self.primes)
 
 
-def as_prime_seq(primes: "PrimeSeq | Sequence[int]") -> PrimeSeq:
-    """Coerce a raw sequence of ints into a PrimeSeq."""
+def as_prime_seq(primes: "PrimeSeq | Sequence[int] | str") -> PrimeSeq:
+    """Coerce a raw sequence of ints, or a list such as '2,3,5', into a PrimeSeq."""
     if isinstance(primes, PrimeSeq):
         return primes
+    if isinstance(primes, str):
+        return PrimeSeq.parse(primes)
     return PrimeSeq(tuple(primes))

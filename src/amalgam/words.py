@@ -27,12 +27,12 @@ later results (and reports) are built from.
 
 Validation happens at the boundary: `Tower.h`, `k_vector`, `lam` and the
 element grammar build their parts through the checking constructors, and
-`Tower.mul`/`inv`/`eq` (and so `conj`) refuse words of a tower with other
-primes.  Results of arithmetic are built from such parts by the private
-`_word` constructor without re-checking.  A level-0 product with an
-identity operand returns the other operand when it belongs to this tower:
-level-0 words are canonical, so this is the same element in the same
-representation.
+`Tower.mul`/`inv`/`eq` (and so `conj`) and the membership predicates refuse
+words of a tower with other primes.  Results of arithmetic are built from
+such parts by the private `_word` constructor without re-checking.  A
+level-0 product with an identity operand returns the other operand when it
+belongs to this tower: level-0 words are canonical, so this is the same
+element in the same representation.
 
 `Tower.conj` of a lattice element (level 0, identity matrix) skips the
 rewriting engine while the conjugate stays in K: a matrix acts on the
@@ -106,8 +106,16 @@ class GroupWord:
         return self.tower.inv(self)
 
     def __pow__(self, n: int) -> "GroupWord":
-        """Integer power by repeated squaring: O(log |n|) products."""
+        """Integer power by repeated squaring: O(log |n|) products.
+
+        n = 1 and n = -1 skip the loop's product with the identity, which
+        would hand back this word or its inverse in the same representation.
+        """
         tower = self.tower
+        if n == 1:
+            return self
+        if n == -1:
+            return tower.inv(self)
         base = tower.inv(self) if n < 0 else self
         n = abs(n)
         out = tower.identity()
@@ -157,7 +165,7 @@ class Tower:
     towers must not be mixed unless the prime sequences agree.
     """
 
-    def __init__(self, primes: PrimeSeq | Sequence[int] | None = None):
+    def __init__(self, primes: PrimeSeq | Sequence[int] | str | None = None):
         if primes is None:
             primes = PrimeSeq.default()
         self.primes = _primes_mod.as_prime_seq(primes)
@@ -213,18 +221,24 @@ class Tower:
 
     # ------------------------------------------------------------------
     # membership predicates (arguments must be reduced words, which every
-    # tower operation returns)
+    # tower operation returns, of a tower with these primes)
 
     def in_gn(self, w: GroupWord, n: int) -> bool:
+        if w.tower is not self:
+            self._check(w)
         return w.level <= n
 
     def in_k(self, w: GroupWord) -> bool:
+        if w.tower is not self:
+            self._check(w)
         return w.level == 0 and w.g0.lam.is_identity
 
     def in_kn(self, w: GroupWord, n: int) -> bool:
         return self.in_k(w) and w.g0.k.supported_at_or_above(n)
 
     def in_lambda(self, w: GroupWord) -> bool:
+        if w.tower is not self:
+            self._check(w)
         return w.level == 0 and w.g0.k.is_zero
 
     def membership(self, a: GroupWord, sub: str) -> bool:

@@ -230,6 +230,20 @@ def test_algebra_operations(tw: Tower):
     assert el.star().coefficient(tw.inv(w)) == 2 - 1j
 
 
+def test_add_sub_inner_reject_mismatched_towers():
+    ours, theirs = Tower(PrimeSeq.parse("2,3")), Tower(PrimeSeq.parse("2,5"))
+    a = GroupAlgebraElement.basis(ours.h(1, (1, 0, 0)))
+    b = GroupAlgebraElement.basis(theirs.h(1, (1, 0, 0)))
+    for op in (a.add, a.sub, a.inner, b.add, b.sub, b.inner):
+        with pytest.raises(ValueError, match="tower"):
+            op(b if op.__self__ is a else a)
+    # the same primes are the same group
+    same = GroupAlgebraElement.basis(Tower(PrimeSeq.parse("2,3")).h(1, (1, 0, 0)))
+    assert a.add(same).coefficient(ours.h(1, (1, 0, 0))) == 2
+    assert a.sub(same).support_size == 0
+    assert a.inner(same) == 1
+
+
 def test_mul_rejects_mismatched_towers(tw: Tower):
     other = Tower(PrimeSeq.parse("2,3"))
     a = GroupAlgebraElement.basis(tw.identity())

@@ -1,7 +1,12 @@
 """Element text grammar: parse and format round trips."""
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from amalgam.grammar import (
     MAX_ENTRY_BITS,
@@ -12,7 +17,7 @@ from amalgam.grammar import (
 )
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
-from amalgam.words import Tower
+from amalgam.words import GroupWord, Tower
 
 PRIMES = PrimeSeq.parse("2,3,5")
 
@@ -125,3 +130,142 @@ def test_round_trip_reduced_words(tw: Tower):
         again = parse_element(tw, format_element(w))
         assert tw.eq(w, again)
         assert again.level == w.level
+
+
+HUGE = 2**3001
+# Each malformed text with the exception type, message and offset it
+# raises (None for UnconfiguredPrimeError, which carries no offset).
+ERRORS = [
+    ("", ElementSyntaxError, "expected an atom (e, h, L, or t)", 0),
+    ("   ", ElementSyntaxError, "expected an atom (e, h, L, or t)", 3),
+    ("q(1)", ElementSyntaxError, "expected an atom (e, h, L, or t)", 0),
+    ("h(1;1,2,0) * ", ElementSyntaxError, "expected an atom (e, h, L, or t)", 13),
+    ("^2", ElementSyntaxError, "expected an atom (e, h, L, or t)", 0),
+    ("t(1) h(0;1,0,0)", ElementSyntaxError, "expected '*'", 5),
+    ("e e", ElementSyntaxError, "expected '*'", 2),
+    ("h[1;1,0,0)", ElementSyntaxError, "expected '('", 1),
+    ("t", ElementSyntaxError, "expected '('", 1),
+    ("h(1,1,0,0)", ElementSyntaxError, "expected ';'", 3),
+    ("h(1;1,2)", ElementSyntaxError, "expected ','", 7),
+    ("h(1;1,2,0", ElementSyntaxError, "expected ')'", 9),
+    ("t(1", ElementSyntaxError, "expected ')'", 3),
+    ("h(;1,0,0)", ElementSyntaxError, "expected an integer", 2),
+    ("L(1,0,0;0,1,0;0,0,1]", ElementSyntaxError, "expected '['", 1),
+    ("L[1,0,0,0,1,0;0,0,1]", ElementSyntaxError, "expected ';'", 7),
+    ("L[1,0;0,1,0;0,0,1]", ElementSyntaxError, "expected ','", 5),
+    ("L[1,0,0;0,1,0;0,0,1", ElementSyntaxError, "expected ']'", 19),
+    ("t(-)", ElementSyntaxError, "expected an integer", 2),
+    ("t(0)", ElementSyntaxError, "stable letters start at level 1, got 0", 4),
+    ("t(-3) * h(0;1,0,0)", ElementSyntaxError, "stable letters start at level 1, got -3", 5),
+    ("L[2,0,0;0,1,0;0,0,1]", ElementSyntaxError, "matrix determinant must be 1, got 2", 20),
+    (" L[1,2,3;4,5,6;7,8,9] ", ElementSyntaxError, "matrix determinant must be 1, got 0", 21),
+    ("h(3;1,0,0)", UnconfiguredPrimeError, "prime index 3 not configured (only 3 primes)", None),
+    ("h(-1;1,0,0)", UnconfiguredPrimeError, "prime index -1 is negative", None),
+    # the three size caps: while squaring, after the term, and on the running bound
+    (f"{HYPERBOLIC}^20000", ElementSyntaxError, "element too large: matrix entries exceed 3000 bits", 20),
+    (f"L[1,{HUGE},0;0,1,0;0,0,1] ^1", ElementSyntaxError, "element too large: matrix entries exceed 3000 bits",
+     len(f"L[1,{HUGE},0;0,1,0;0,0,1]")),
+    (f"{HYPERBOLIC}^2000 * {HYPERBOLIC}^2000 q", ElementSyntaxError,
+     "element too large: matrix entries exceed 3000 bits", 53),
+    (f"{HYPERBOLIC}^2000 * L[1,{2**1500},0;0,1,0;0,0,1]  * e", ElementSyntaxError,
+     "element too large: matrix entries exceed 3000 bits", len(f"{HYPERBOLIC}^2000 * L[1,{2**1500},0;0,1,0;0,0,1]  ")),
+    ("t(1)^", ElementSyntaxError, "expected an integer", 5),
+    ("t(1) ^ x", ElementSyntaxError, "expected an integer", 7),
+    ("t(1)^- 1", ElementSyntaxError, "expected an integer", 5),
+    ("t(1)^+ * t(1)", ElementSyntaxError, "expected an integer", 5),
+    ("e^", ElementSyntaxError, "expected an integer", 2),
+    ("　h(\xa01; 1, x,0)", ElementSyntaxError, "expected an integer", 10),
+    ("t(1) *\x85q", ElementSyntaxError, "expected an atom (e, h, L, or t)", 7),
+    ("t(1)\x0b^　*", ElementSyntaxError, "expected an integer", 7),
+    # digits other than ASCII 0-9 are not digits of the grammar
+    ("h(0;²,0,0)", ElementSyntaxError, "expected an integer", 4),
+    ("t(1)^²", ElementSyntaxError, "expected an integer", 5),
+    ("h(0;١,0,0)", ElementSyntaxError, "expected an integer", 4),
+    ("h(0;1١,0,0)", ElementSyntaxError, "expected ','", 5),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, position", ERRORS)
+def test_error_surface(tw: Tower, text: str, kind: type, message: str, position: int | None):
+    with pytest.raises(kind) as err:
+        parse_element(tw, text)
+    assert type(err.value) is kind
+    if position is None:
+        assert str(err.value) == message
+        assert not hasattr(err.value, "position")
+    else:
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
+
+
+def test_whitespace_after_power_sign(tw: Tower):
+    assert parse_element(tw, "h(0;1,0,0)^ -1").format() == "h(0;1,0,0)"
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_INTS = st.tuples(st.sampled_from(("", "-", "+")), st.text("0123456789²١५３", max_size=3)).map("".join)
+
+
+@st.composite
+def _grammar_texts(draw):
+    """A product of one to three terms in the grammar's shape, whose integers
+    may hold non-ASCII digits or none, with one character dropped half the
+    time."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = [draw(_INTS) for _ in range(9)]
+        atom = draw(st.sampled_from(("e", "h({};{},{},{})", "L[{},{},{};{},{},{};{},{},{}]", "t({})")))
+        term = atom.format(*values)
+        if draw(st.booleans()):
+            term += "^" + draw(_INTS)
+        terms.append(term)
+    text = draw(st.sampled_from((" * ", "*", "\u3000*\xa0"))).join(terms)
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(text) - 1))
+        text = text[:cut] + text[cut + 1 :]
+    return text
+
+
+# the grammar's characters, non-ASCII digits, and spaces str.isspace accepts
+_TEXTS = st.one_of(st.text("ehLtq()[];,*^+-0123456789 ²١५３　\xa0 \t\n", max_size=30), _grammar_texts())
+
+
+# no shrink phase: shrinking an example that loops would rerun it up to
+# the time limit again and again
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(_TEXTS)
+def test_short_texts_parse_or_raise_the_grammar_errors(text: str):
+    tw = Tower(PRIMES)
+    try:
+        with _time_limit(1.0):
+            word = parse_element(tw, text)
+    except ElementSyntaxError as err:
+        assert 0 <= err.position <= len(text)
+    except UnconfiguredPrimeError:
+        pass
+    else:
+        assert isinstance(word, GroupWord) and word.tower is tw
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 3))
+def test_format_parse_round_trip_at_each_level(seed: int, length: int, level: int):
+    tw = Tower(PRIMES)
+    w = Sampler(tw, seed=seed).word(length, level_cap=level)
+    assert tw.eq(parse_element(tw, format_element(w)), w)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from amalgam.primes import PrimeSeq, as_prime_seq, is_prime, next_prime
+from amalgam.words import Tower
 
 
 def test_is_prime_small_table():
@@ -49,6 +50,14 @@ def test_extended_appends_fresh_primes():
     longer = seq.extended(4)
     assert tuple(longer) == (5, 2, 7, 11, 13, 17)
     assert len(set(longer)) == 6
+
+
+def test_tower_accepts_a_prime_list_string():
+    assert tuple(Tower("2,3").primes) == (2, 3)
+    assert tuple(Tower("7").primes) == (7,)
+    assert tuple(as_prime_seq(" 2, 5 ")) == (2, 5)
+    with pytest.raises(ValueError, match="not prime"):
+        Tower("2,4")
 
 
 def test_as_prime_seq_accepts_iterables():

@@ -449,6 +449,33 @@ def test_conj_of_a_lattice_element_that_stays_in_k_skips_the_engine():
     assert image == tw.mul(tw.mul(h, g), tw.inv(h)) == tw.h(2, (2, 1, 0))
 
 
+@pytest.mark.parametrize("predicate, answer", [
+    (lambda tw, w: tw.in_gn(w, 1), True),
+    (lambda tw, w: tw.in_k(w), True),
+    (lambda tw, w: tw.in_kn(w, 1), True),
+    (lambda tw, w: tw.in_lambda(w), False),
+    (lambda tw, w: tw.membership(w, "K1"), True),
+], ids=["in_gn", "in_k", "in_kn", "in_lambda", "membership"])
+def test_predicates_reject_foreign_words(predicate, answer):
+    ours, theirs = Tower(PrimeSeq.parse("2,3")), Tower(PrimeSeq.parse("2,5"))
+    with pytest.raises(ValueError, match="tower"):
+        predicate(ours, theirs.h(1, (1, 0, 0)))
+    # a tower with the same primes is the same group
+    assert predicate(ours, Tower(PrimeSeq.parse("2,3")).h(1, (1, 0, 0))) is answer
+
+
+def test_plus_minus_one_powers_keep_the_representation(tw: Tower):
+    # n = +-1 skips the product with the identity; the words are the ones
+    # that product hands back
+    sampler = Sampler(tw, seed=41)
+    for i in range(40):
+        w = sampler.word(1 + i % 5, level_cap=i % 4)
+        assert w**1 is w
+        assert w**-1 is tw.inv(w)
+        assert w**1 == tw.mul(tw.identity(), w)
+        assert w**-1 == tw.mul(tw.identity(), tw.inv(w))
+
+
 def test_conj_and_eq_reject_foreign_words():
     ours, theirs = Tower(PrimeSeq.parse("2,3")), Tower(PrimeSeq.parse("2,5"))
     a, b = ours.h(1, (1, 0, 0)), theirs.h(1, (1, 0, 0))
