@@ -106,26 +106,18 @@ class GroupWord:
         return self.tower.inv(self)
 
     def __pow__(self, n: int) -> "GroupWord":
-        """Integer power by repeated squaring: O(log |n|) products.
-
-        n = 1 and n = -1 skip the loop's product with the identity, which
-        would hand back this word or its inverse in the same representation.
-        """
+        """Integer power by repeated squaring: O(log |n|) products."""
         tower = self.tower
-        if n == 1:
-            return self
-        if n == -1:
-            return tower.inv(self)
         base = tower.inv(self) if n < 0 else self
         n = abs(n)
-        out = tower.identity()
+        out = None
         while n:
             if n & 1:
-                out = tower.mul(out, base)
+                out = base if out is None else tower.mul(out, base)
             n >>= 1
             if n:
                 base = tower.mul(base, base)
-        return out
+        return tower.identity() if out is None else out
 
     def format(self) -> str:
         """Render in the element grammar (h/L/t atoms joined by '*')."""

@@ -1,9 +1,6 @@
 """Element text grammar: parse and format round trips."""
 from __future__ import annotations
 
-import contextlib
-import signal
-
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -18,6 +15,7 @@ from amalgam.grammar import (
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
 from amalgam.words import GroupWord, Tower
+from timelimit import time_limit
 
 PRIMES = PrimeSeq.parse("2,3,5")
 
@@ -202,22 +200,6 @@ def test_whitespace_after_power_sign(tw: Tower):
     assert parse_element(tw, "h(0;1,0,0)^ -1").format() == "h(0;1,0,0)"
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the block after `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 _INTS = st.tuples(st.sampled_from(("", "-", "+")), st.text("0123456789²١५３", max_size=3)).map("".join)
 
 
@@ -253,7 +235,7 @@ _TEXTS = st.one_of(st.text("ehLtq()[];,*^+-0123456789 ²١५３　\xa0 \t\n", m
 def test_short_texts_parse_or_raise_the_grammar_errors(text: str):
     tw = Tower(PRIMES)
     try:
-        with _time_limit(1.0):
+        with time_limit(1.0):
             word = parse_element(tw, text)
     except ElementSyntaxError as err:
         assert 0 <= err.position <= len(text)

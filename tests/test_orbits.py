@@ -1,12 +1,10 @@
 """Diagonal orbit structure of products of coordinate blocks."""
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import math
 import random
-import signal
 from collections import deque
 
 import numpy as np
@@ -25,6 +23,7 @@ from amalgam.orbits import (
 )
 from amalgam.primes import PrimeSeq
 from amalgam.semidirect import KVector, block_points, product_image
+from timelimit import time_limit
 
 PRIMES = PrimeSeq.parse("2,3,5,7")
 
@@ -206,23 +205,6 @@ def _pivot_walk_dimension(n, maps):
     return n - rank
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the block after `seconds`, so a loop that
-    never ends fails instead of hanging the run."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @st.composite
 def _point_maps(draw):
     """Twelve self-maps of range(n) that keep a hidden partition of the
@@ -264,7 +246,7 @@ def test_fixed_point_dimension_on_random_maps(case):
     # not only of the permutations the generators induce
     n, maps = case
     images = iter([np.array(m, dtype=np.int64) for m in maps])
-    with pytest.MonkeyPatch.context() as mp, _time_limit(1.0):
+    with pytest.MonkeyPatch.context() as mp, time_limit(1.0):
         mp.setattr(orbits, "_check_size", lambda ps, guard: n)
         mp.setattr(orbits, "product_image", lambda ps, g: next(images))
         dim = fixed_point_dimension(PRIMES, ())

@@ -464,16 +464,19 @@ def test_predicates_reject_foreign_words(predicate, answer):
     assert predicate(ours, Tower(PrimeSeq.parse("2,3")).h(1, (1, 0, 0))) is answer
 
 
-def test_plus_minus_one_powers_keep_the_representation(tw: Tower):
-    # n = +-1 skips the product with the identity; the words are the ones
-    # that product hands back
+def test_powers_skip_the_product_with_the_identity(tw: Tower):
+    # the words are the ones a product starting from the identity hands back
     sampler = Sampler(tw, seed=41)
     for i in range(40):
         w = sampler.word(1 + i % 5, level_cap=i % 4)
         assert w**1 is w
         assert w**-1 is tw.inv(w)
-        assert w**1 == tw.mul(tw.identity(), w)
-        assert w**-1 == tw.mul(tw.identity(), tw.inv(w))
+        assert w**0 is tw.identity()
+        for n in (-3, -2, -1, 1, 2, 3, 6):
+            expected = tw.identity()
+            for _ in range(abs(n)):
+                expected = tw.mul(expected, w if n > 0 else tw.inv(w))
+            assert w**n == expected
 
 
 def test_conj_and_eq_reject_foreign_words():
