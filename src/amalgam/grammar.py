@@ -8,7 +8,8 @@
     x^m                      integer power (so x^-1 is the inverse)
 
 Integers are an optional sign and ASCII digits 0-9; any other digit is a
-syntax error.  Whitespace (every character for which `str.isspace` is
+syntax error, and so is an integer with more digits than Python's int()
+converts.  Whitespace (every character for which `str.isspace` is
 true) is insignificant.  Each atom's tokens are declared once and compiled
 to one pattern, `^m` tail included; where it fails, the same tokens are
 walked one at a time, so syntax errors report the offset that failed.
@@ -143,6 +144,15 @@ def _bounded(word: GroupWord, position: int) -> int:
     return bits
 
 
+def _int(m: re.Match, group: int) -> int:
+    """The integer in `group`; one that int() refuses (Python caps the
+    digits it converts) is an error at its offset."""
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise ElementSyntaxError("integer has too many digits", m.start(group)) from None
+
+
 def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
     """The atom or power at `pos`, its entry bits, and the offset after it."""
     first = text[pos : pos + 1]
@@ -150,11 +160,10 @@ def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
     m = pattern and pattern.match(text, pos)
     if not m:
         _fail(text, pos)
-    groups = m.groups()
     end = m.start(count + 1)
-    word = _atom(tower, first, list(map(int, groups[:count])), end)
-    if groups[-1] is not None:
-        power = int(groups[-1])
+    word = _atom(tower, first, [_int(m, i) for i in range(1, count + 1)], end)
+    if m.group(count + 2) is not None:
+        power = _int(m, count + 2)
         if word.level == 0 and not -1 <= power <= 1:
             # square the matrix as the power will, and give up as soon as
             # a square outgrows the cap rather than after the last one

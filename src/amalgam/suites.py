@@ -464,15 +464,21 @@ def _suite_xi(config: SuiteConfig) -> list[dict]:
         rec.run("invariance-length-2", {"cutoff": N, "n": n}, exhaustive_pairs)
 
         def exhaustive_core_triples(N=N, n=n):
-            core = [w for w in tower.alphabet(N, block_cap=0)]
+            core = tower.alphabet(N, block_cap=0)
+
+            def extend(words):
+                # `tower.reduce` of the itertools.product tuples one letter
+                # longer, in their order, without rebuilding every prefix
+                return (tower.mul(w, c) for w in words for c in core)
+
+            singles = list(extend([tower.identity()]))
+            doubles = list(extend(singles))
             bad = 0
             count = 0
-            for length in (1, 2, 3):
-                for combo in itertools.product(core, repeat=length):
-                    w = tower.reduce(combo)
-                    count += 1
-                    if not block_stabilized(tower, n, w):
-                        bad += 1
+            for w in itertools.chain(singles, doubles, extend(doubles)):
+                count += 1
+                if not block_stabilized(tower, n, w):
+                    bad += 1
             return _verdict(bad == 0), {"words": count, "violations": bad}
 
         rec.run("invariance-core-length-3", {"cutoff": N, "n": n}, exhaustive_core_triples)

@@ -15,6 +15,19 @@ a * b^{-1} to its reduced form.  No coset transversal is chosen, so two
 reduced words may still denote the same element; `Tower.eq` is the
 equality contract.
 
+Every word the engine returns, and every `Tower.stable` letter, keeps one
+invariant: each non-identity factor except the last lies outside the
+glued subgroup K_{L-1} (the leading factor x_0 included, because `_build`
+folds a leading glued-subgroup factor into x_1).  So a product of two
+reduced words rewrites only where they meet (the normal-form theorem for
+amalgamated products): `Tower.mul` copies a's syllables, multiplies b's
+first factor into a's last, and pushes b's stable powers one at a time,
+merging and folding, until one of them starts a new syllable; from there
+it appends the rest of b unchanged, since no factor of b before its last
+can fold.  `Tower.inv` reverses the syllables, inverting factors and
+negating exponents, which keeps every inner factor outside K_{L-1}.
+Both end in `_build`'s one leading fold.
+
 Each tower builds exactly one identity word (`Tower.identity()`): every
 operation that reduces to the identity returns that object, so
 `GroupWord.is_identity` is an identity test on the object.  `Tower.inv`
@@ -60,10 +73,6 @@ from .semidirect import G0Element, KVector, ZERO_K, _g0, block_points
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
-
-# token kinds for the rewriting engine
-_BASE = 0
-_STABLE = 1
 
 _set = object.__setattr__
 
@@ -248,86 +257,48 @@ class Tower:
         return self.in_gn(a, n)
 
     # ------------------------------------------------------------------
-    # the rewriting engine
+    # the rewriting engine, over the syllable lists of a word being built
+    # at `level`: `factors` holds one more entry than `exponents`
 
-    def _feed(self, out: list, w: GroupWord, level: int) -> None:
-        """Push the syllables of `w`, relative to `level`, onto `out`."""
-        if w.level < level:
-            self._push_base(out, w)
-            return
-        self._push_base(out, w.factors[0])
-        for m, x in zip(w.exponents, w.factors[1:]):
-            self._push_stable(out, m, level)
-            self._push_base(out, x)
+    def _times(self, x: GroupWord, y: GroupWord) -> GroupWord:
+        """x * y, with no product taken when either side is the identity."""
+        if y.is_identity:
+            return x
+        if x.is_identity:
+            return y
+        return self.mul(x, y)
 
-    def _push_base(self, out: list, w: GroupWord) -> None:
-        if w.is_identity:
-            return
-        if out and out[-1][0] == _BASE:
-            prev = out.pop()[1]
-            self._push_base(out, self.mul(prev, w))
-            return
-        out.append((_BASE, w))
+    def _push(self, factors: list, exponents: list, m: int, x: GroupWord, level: int) -> bool:
+        """Append t(level)^m * x; True when t^m starts a new syllable.
 
-    def _push_stable(self, out: list, m: int, level: int) -> None:
-        if m == 0:
-            return
-        if out and out[-1][0] == _STABLE:
-            a = out.pop()[1]
-            self._push_stable(out, a + m, level)
-            return
-        if (
-            len(out) >= 2
-            and out[-1][0] == _BASE
-            and out[-2][0] == _STABLE
-            and self.in_kn(out[-1][1], level - 1)
-        ):
-            # a glued-subgroup block between stable powers commutes out:
-            # t^a z t^m -> z t^(a+m), then z merges leftwards.
-            z = out.pop()[1]
-            a = out.pop()[1]
-            self._push_base(out, z)
-            self._push_stable(out, a + m, level)
-            return
-        out.append((_STABLE, m))
+        Until then t^m merges with the stable power before it, across an
+        identity factor or across a glued-subgroup factor z, which commutes
+        out (t^a z t^m -> z t^(a+m)) and merges leftwards.
+        """
+        while m and exponents:
+            z = factors.pop()
+            if not z.is_identity:
+                if not self.in_kn(z, level - 1):
+                    factors.append(z)
+                    break
+                factors[-1] = self._times(factors[-1], z)
+            m += exponents.pop()
+        if m:
+            exponents.append(m)
+            factors.append(x)
+            return True
+        factors[-1] = self._times(factors[-1], x)
+        return False
 
-    def _build(self, out: list, level: int) -> GroupWord:
-        if (
-            len(out) >= 2
-            and out[0][0] == _BASE
-            and out[1][0] == _STABLE
-            and self.in_kn(out[0][1], level - 1)
-        ):
-            # leading glued-subgroup block commutes rightwards across the
-            # first stable power and folds into the next factor
-            rebuilt: list = []
-            self._push_stable(rebuilt, out[1][1], level)
-            self._push_base(rebuilt, out[0][1])
-            for kind, val in out[2:]:
-                if kind == _BASE:
-                    self._push_base(rebuilt, val)
-                else:
-                    self._push_stable(rebuilt, val, level)
-            out = rebuilt
-        if not out:
-            return self._identity
-        if len(out) == 1 and out[0][0] == _BASE:
-            return out[0][1]
-        factors: list[GroupWord] = []
-        exponents: list[int] = []
-        expect_base = True
-        for kind, val in out:
-            if kind == _BASE:
-                assert expect_base, "token list lost alternation"
-                factors.append(val)
-                expect_base = False
-            else:
-                if expect_base:
-                    factors.append(self._identity)
-                exponents.append(val)
-                expect_base = True
-        if expect_base:
-            factors.append(self._identity)
+    def _build(self, factors: list, exponents: list, level: int) -> GroupWord:
+        if not exponents:
+            return self._identity if factors[0].is_identity else factors[0]
+        z = factors[0]
+        if not z.is_identity and self.in_kn(z, level - 1):
+            # a leading glued-subgroup factor commutes rightwards across
+            # the first stable power and folds into the next factor
+            factors[0] = self._identity
+            factors[1] = self._times(z, factors[1])
         return _word(self, level, None, tuple(factors), tuple(exponents))
 
     def _check(self, w: GroupWord) -> None:
@@ -351,10 +322,16 @@ class Tower:
                 return a
             return self.g0(a.g0.mul(b.g0, self.primes))
         level = max(a.level, b.level)
-        out: list = []
-        self._feed(out, a, level)
-        self._feed(out, b, level)
-        return self._build(out, level)
+        factors, exponents = (list(a.factors), list(a.exponents)) if a.level == level else ([a], [])
+        b_factors, b_exponents = (b.factors, b.exponents) if b.level == level else ((b,), ())
+        factors[-1] = self._times(factors[-1], b_factors[0])
+        for j, m in enumerate(b_exponents, 1):
+            if self._push(factors, exponents, m, b_factors[j], level):
+                # from a new syllable on, the rest of b is already reduced
+                factors += b_factors[j + 1 :]
+                exponents += b_exponents[j:]
+                break
+        return self._build(factors, exponents, level)
 
     def inv(self, a: GroupWord) -> GroupWord:
         """The reduced inverse, cached on `a` when `a` belongs to this tower.
@@ -372,15 +349,8 @@ class Tower:
         if a.level == 0:
             out = self.g0(a.g0.inv(self.primes))
         else:
-            level = a.level
-            tokens: list = []
-            for i in reversed(range(len(a.factors))):
-                x = a.factors[i]
-                if not x.is_identity:
-                    self._push_base(tokens, self.inv(x))
-                if i:
-                    self._push_stable(tokens, -a.exponents[i - 1], level)
-            out = self._build(tokens, level)
+            factors = [x if x.is_identity else self.inv(x) for x in reversed(a.factors)]
+            out = self._build(factors, [-m for m in reversed(a.exponents)], a.level)
         if own:
             _set(a, "_inv", out)
         return out
@@ -408,7 +378,7 @@ class Tower:
         At level 0, (k_h, L)(k, I)(k_h, L)^{-1} = (L k, I).  At level L >= 1
         the factors x_r, ..., x_0 conjugate in turn, innermost first, and
         t(L)^m fixes k when k lies in the glued subgroup K_{L-1} (the test
-        `_push_stable` folds with); any other k stops the walk.
+        `_push` folds with); any other k stops the walk.
         """
         if h.level == 0:
             lam = h.g0.lam
@@ -537,10 +507,6 @@ class Tower:
             counts.append(counts[-1] + len(nxt))
             frontier = nxt
         return tuple(counts)
-
-    def conjugate_growth(self, g: GroupWord, radius: int) -> int:
-        """Number of distinct conjugates of g over the radius-`radius` ball."""
-        return self.conjugate_growth_profile(g, radius)[-1]
 
 
 def _format_g0(e: G0Element) -> str:

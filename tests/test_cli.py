@@ -81,6 +81,12 @@ def test_oversized_power_exits_2(capsys):
         assert "element too large" in err
 
 
+def test_integer_past_the_digit_limit_exits_2(capsys, default_digit_limit):
+    code, out, err = run(capsys, "elem", "reduce", "t(" + "1" * (default_digit_limit + 700) + ")")
+    assert code == 2 and out == ""
+    assert err == "error: integer has too many digits (at offset 2)\n"
+
+
 def test_bad_primes_exit_2(capsys):
     code, _, err = run(capsys, "elem", "reduce", "--primes", "2,4", "e")
     assert code == 2

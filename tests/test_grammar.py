@@ -196,6 +196,20 @@ def test_error_surface(tw: Tower, text: str, kind: type, message: str, position:
         assert err.value.position == position
 
 
+@pytest.mark.parametrize("template, position", [
+    ("t({})", 2),
+    ("h(0;1,{},0)", 6),
+    ("L[1,0,0;0,1,0;0,0,{}]", 18),
+    ("h(0;1,0,0) * t(1)^-{}", 18),
+])
+def test_integer_past_the_digit_limit_is_a_syntax_error(tw: Tower, default_digit_limit, template, position):
+    text = template.format("1" * (default_digit_limit + 700))
+    with pytest.raises(ElementSyntaxError) as err:
+        parse_element(tw, text)
+    assert str(err.value) == f"integer has too many digits (at offset {position})"
+    assert err.value.position == position
+
+
 def test_whitespace_after_power_sign(tw: Tower):
     assert parse_element(tw, "h(0;1,0,0)^ -1").format() == "h(0;1,0,0)"
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from amalgam.fourier import block_points
 from amalgam.grammar import parse_element
@@ -11,7 +13,8 @@ from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, LambdaMatri
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
 from amalgam.semidirect import G0Element, KVector
-from amalgam.words import GroupWord, Tower
+from amalgam.words import GroupWord, Tower, _word
+from timelimit import time_limit
 
 PRIMES = PrimeSeq.parse("2,3,5")
 
@@ -487,3 +490,127 @@ def test_conj_and_eq_reject_foreign_words():
         for args in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="tower"):
                 op(*args)
+
+
+class _TokenTower(Tower):
+    """A token-list rewriting engine, the reference for the junction splice
+    of `Tower.mul` and `Tower.inv`.
+
+    It pushes every syllable of both operands, as (base, word) or
+    (stable, exponent) tokens, through the merge and fold checks, and
+    reduces lower levels with itself.
+    """
+
+    def mul(self, a, b):
+        if a.level == 0 and b.level == 0:
+            return super().mul(a, b)
+        level = max(a.level, b.level)
+        out: list = []
+        self._feed(out, a, level)
+        self._feed(out, b, level)
+        return self._word_of(out, level)
+
+    def inv(self, a):
+        if a.level == 0:
+            return super().inv(a)
+        tokens: list = []
+        for i in reversed(range(len(a.factors))):
+            if not a.factors[i].is_identity:
+                self._push_base(tokens, self.inv(a.factors[i]))
+            if i:
+                self._push_stable(tokens, -a.exponents[i - 1], a.level)
+        return self._word_of(tokens, a.level)
+
+    def _feed(self, out, w, level):
+        if w.level < level:
+            self._push_base(out, w)
+            return
+        self._push_base(out, w.factors[0])
+        for m, x in zip(w.exponents, w.factors[1:]):
+            self._push_stable(out, m, level)
+            self._push_base(out, x)
+
+    def _push_base(self, out, w):
+        if w.is_identity:
+            return
+        if out and out[-1][0] == "base":
+            self._push_base(out, self.mul(out.pop()[1], w))
+            return
+        out.append(("base", w))
+
+    def _push_stable(self, out, m, level):
+        if m == 0:
+            return
+        if out and out[-1][0] == "stable":
+            self._push_stable(out, out.pop()[1] + m, level)
+            return
+        if len(out) >= 2 and out[-1][0] == "base" and out[-2][0] == "stable" and self.in_kn(out[-1][1], level - 1):
+            z = out.pop()[1]
+            a = out.pop()[1]
+            self._push_base(out, z)
+            self._push_stable(out, a + m, level)
+            return
+        out.append(("stable", m))
+
+    def _word_of(self, out, level):
+        if len(out) >= 2 and out[0][0] == "base" and out[1][0] == "stable" and self.in_kn(out[0][1], level - 1):
+            rebuilt: list = []
+            self._push_stable(rebuilt, out[1][1], level)
+            self._push_base(rebuilt, out[0][1])
+            for kind, val in out[2:]:
+                if kind == "base":
+                    self._push_base(rebuilt, val)
+                else:
+                    self._push_stable(rebuilt, val, level)
+            out = rebuilt
+        if not out:
+            return self.identity()
+        if len(out) == 1 and out[0][0] == "base":
+            return out[0][1]
+        factors, exponents = [], []
+        for kind, val in out:
+            if kind == "stable":
+                if len(factors) == len(exponents):
+                    factors.append(self.identity())
+                exponents.append(val)
+            else:
+                factors.append(val)
+        if len(factors) == len(exponents):
+            factors.append(self.identity())
+        return _word(self, level, None, tuple(factors), tuple(exponents))
+
+
+# no shrink phase: shrinking an example that loops would rerun it up to
+# the time limit again and again
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.integers(0, 2**32 - 1))
+def test_junction_splice_matches_the_token_engine(seed: int):
+    tw, other, ref = Tower(PRIMES), Tower(PRIMES), _TokenTower(PRIMES)
+    rng = random.Random(seed)
+    samplers = (Sampler(tw, seed=seed), Sampler(other, seed=seed + 1))
+
+    def draw() -> GroupWord:
+        sampler, level = rng.choice(samplers), rng.randint(0, 3)
+        if level and rng.random() < 0.5:
+            return sampler.reduced_word(level, syllables=rng.randint(1, 3))
+        return sampler.word(rng.randint(1, 8), level_cap=level)
+
+    with time_limit(10.0):
+        for _ in range(6):
+            a, b = draw(), draw()
+            # a * undo cancels back to a's head, leaving k * t^m * y with k
+            # in the glued subgroup, which _build's leading fold moves right
+            level, m = max(a.level, 1), rng.choice((-2, -1, 1, 2))
+            k = samplers[0].lattice_word(range(level - 1, len(PRIMES)), nonzero=True)
+            y = samplers[1].base_factor(level)
+            undo = tw.reduce([tw.inv(a), k, tw.stable(level, m), y])
+            for x, z in ((a, b), (b, a), (a, undo)):
+                product, expected = tw.mul(x, z), ref.mul(x, z)
+                assert product == expected and product.format() == expected.format(), (x, z)
+            folded = tw.mul(a, undo)
+            assert folded.factors[0].is_identity and folded.exponents == (m,)
+            assert folded == tw.mul(tw.stable(level, m), tw.mul(k, y))
+            for x in (a, b, undo):
+                inverse, expected = tw.inv(x), ref.inv(x)
+                assert inverse == expected and inverse.format() == expected.format(), x
