@@ -42,7 +42,6 @@ from .tailbound import (
 )
 from .witness import (
     InvarianceDomainError,
-    L2Vector,
     OrthogonalityReport,
     adjoint_apply,
     block_stabilized,
@@ -69,7 +68,6 @@ __all__ = [
     "IDENTITY_MATRIX",
     "InvarianceDomainError",
     "KVector",
-    "L2Vector",
     "LambdaMatrix",
     "OrbitPartition",
     "OrthogonalityReport",

@@ -15,11 +15,10 @@ of the p roots of unity by <x,y> mod p.
 
 `GroupAlgebraElement` is the one class for finitely supported
 combinations of words: the group algebra under convolution, and the
-square-summable vectors of `witness` (its `L2Vector`) under the inner
-product.  Its `mul` convolves exact or complex operands on one block over
-lex point codes and all others in a pair loop over `Tower.mul`; the paths
-give the same coefficients, bit for bit in the complex case (see
-`_convolve_block`).
+square-summable vectors of `witness` under the inner product.  Its `mul`
+convolves exact or complex operands on one block over lex point codes and
+all others in a pair loop over `Tower.mul`; the paths give the same
+coefficients, bit for bit in the complex case (see `_convolve_block`).
 """
 from __future__ import annotations
 
@@ -38,17 +37,12 @@ from .words import GroupWord, Tower
 
 __all__ = [
     "GroupAlgebraElement",
-    "block_points",
     "transform_matrix",
     "fourier",
     "inverse_fourier",
-    "action_permutation",
     "check_intertwiner",
     "projection_en",
 ]
-
-# public name of the codec's permutation of point codes under a matrix
-action_permutation = image_table
 
 
 def _pairing(p: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .witness import L2Vector
+from .fourier import GroupAlgebraElement
 from .words import GroupWord, Tower
 
 __all__ = ["Sampler"]
@@ -133,7 +133,7 @@ class Sampler:
     def sign_values(self, count: int) -> list[int]:
         return [self.rng.choice((-1, 1)) for _ in range(count)]
 
-    def lattice_vector(self, blocks, size: int = 4) -> L2Vector:
+    def lattice_vector(self, blocks, size: int = 4) -> GroupAlgebraElement:
         """Rational vector supported on random base-lattice words."""
         tw = self.tower
         coeffs = {}
@@ -142,4 +142,4 @@ class Sampler:
             coeffs[w] = coeffs.get(w, 0) + Fraction(
                 self.rng.randint(-9, 9), self.rng.randint(1, 9)
             )
-        return L2Vector(tw, coeffs)
+        return GroupAlgebraElement(tw, coeffs)

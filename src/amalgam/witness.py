@@ -1,8 +1,8 @@
 """Adjoint action on finitely supported square-summable vectors.
 
-A vector is a `GroupAlgebraElement` (public here as `L2Vector`): the
-same finitely supported combination of words, read through its
-`inner`, `norm_squared` and `support` rather than its convolution.
+A vector is a `GroupAlgebraElement`: a finitely supported combination
+of words, read through its `inner`, `norm_squared` and `support` rather
+than its convolution.
 Basis vectors are indexed by reduced words compared by representation;
 base-lattice words have a unique representation, and a single
 conjugation relabels any support injectively, so every check in this
@@ -24,12 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fourier import GroupAlgebraElement as L2Vector
+from .fourier import GroupAlgebraElement
 from .semidirect import codes
 from .words import GroupWord, Tower
 
 __all__ = [
-    "L2Vector",
     "delta",
     "adjoint_apply",
     "xi",
@@ -44,21 +43,21 @@ __all__ = [
 ]
 
 
-def delta(tower: Tower, w: GroupWord) -> L2Vector:
+def delta(tower: Tower, w: GroupWord) -> GroupAlgebraElement:
     """Basis vector with a single unit coefficient at `w`."""
-    return L2Vector(tower, {w: Fraction(1)})
+    return GroupAlgebraElement(tower, {w: Fraction(1)})
 
 
-def adjoint_apply(g: GroupWord, v: L2Vector) -> L2Vector:
+def adjoint_apply(g: GroupWord, v: GroupAlgebraElement) -> GroupAlgebraElement:
     """Relabel the basis by conjugation: the key k moves to g k g^{-1}."""
     tw = v.tower
     out = {tw.conj(k, g): c for k, c in v.coeffs.items()}
     if len(out) != len(v.coeffs):
         raise AssertionError("conjugation collided on reduced keys; reduction is broken")
-    return L2Vector(tw, out)
+    return GroupAlgebraElement(tw, out)
 
 
-def xi(tower: Tower, n: int) -> L2Vector:
+def xi(tower: Tower, n: int) -> GroupAlgebraElement:
     """Unit vector spread uniformly over one coordinate block.
 
     All p^3 coefficients equal p^{-3/2}; the coefficient at the identity
@@ -67,7 +66,7 @@ def xi(tower: Tower, n: int) -> L2Vector:
     `xi_overlap_squared`).
     """
     coeff = tower.primes.p(n) ** -1.5
-    return L2Vector(tower, dict.fromkeys(tower.block(n), coeff))
+    return GroupAlgebraElement(tower, dict.fromkeys(tower.block(n), coeff))
 
 
 def xi_overlap_squared(tower: Tower, n: int) -> Fraction:
@@ -141,10 +140,10 @@ def search_invariance_violation(
     return None
 
 
-def conditional_expectation(v: L2Vector, cutoff: int) -> L2Vector:
+def conditional_expectation(v: GroupAlgebraElement, cutoff: int) -> GroupAlgebraElement:
     """Orthogonal projection keeping the coefficients supported at or above the cutoff block."""
     tw = v.tower
-    return L2Vector(tw, {w: c for w, c in v.coeffs.items() if tw.in_kn(w, cutoff)})
+    return GroupAlgebraElement(tw, {w: c for w, c in v.coeffs.items() if tw.in_kn(w, cutoff)})
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ class OrthogonalityReport:
         return (self.lhs, self.rhs, self.passed)
 
 
-def orthogonality_inequality_check(y: L2Vector, cutoff: int) -> OrthogonalityReport:
+def orthogonality_inequality_check(y: GroupAlgebraElement, cutoff: int) -> OrthogonalityReport:
     """Exact check of ||g y g^{-1} - y|| >= ||y - E(y)|| for the next stable letter.
 
     `y` must be supported on the base lattice.  The conjugator is the

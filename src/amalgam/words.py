@@ -313,13 +313,14 @@ class Tower:
             self._check(a)
         if b.tower is not self:
             self._check(b)
+        # an identity factor hands back the other operand itself when it
+        # is one of ours: level-0 words are canonical, and a word of a
+        # higher level is reduced when it is built
+        if a is a.tower._identity and b.tower is self:
+            return b
+        if b is b.tower._identity and a.tower is self:
+            return a
         if a.level == 0 and b.level == 0:
-            # level-0 words are canonical, so an identity factor hands
-            # back the other operand itself when it is one of ours
-            if a is a.tower._identity and b.tower is self:
-                return b
-            if b is b.tower._identity and a.tower is self:
-                return a
             return self.g0(a.g0.mul(b.g0, self.primes))
         level = max(a.level, b.level)
         factors, exponents = (list(a.factors), list(a.exponents)) if a.level == level else ([a], [])

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from amalgam.cli import main
-from amalgam.fourier import check_intertwiner, projection_en
+from amalgam.fourier import GroupAlgebraElement, check_intertwiner, projection_en
 from amalgam.matrices import ELEMENTARY_GENERATORS
 from amalgam.orbits import (
     diagonal_orbits,
@@ -35,7 +35,6 @@ from amalgam.tailbound import (
     tail_trace,
 )
 from amalgam.witness import (
-    L2Vector,
     block_stabilized,
     check_xi_invariance,
     orthogonality_inequality_check,
@@ -299,7 +298,7 @@ def test_criterion_10_orthogonality():
     per_cutoff = 500
     for cutoff in (1, 2):
         for _ in range(per_cutoff):
-            y = L2Vector(
+            y = GroupAlgebraElement(
                 tower,
                 {
                     sampler.lattice_word_escaping(cutoff): sampler.rational_unit(),

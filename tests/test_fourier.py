@@ -11,8 +11,6 @@ import pytest
 
 from amalgam.fourier import (
     GroupAlgebraElement,
-    action_permutation,
-    block_points,
     check_intertwiner,
     fourier,
     inverse_fourier,
@@ -21,7 +19,7 @@ from amalgam.fourier import (
 )
 from amalgam.matrices import ELEMENTARY_GENERATORS, elementary
 from amalgam.primes import PrimeSeq
-from amalgam.semidirect import G0Element, KVector, codes, image_table, point_array
+from amalgam.semidirect import G0Element, KVector, block_points, codes, image_table, point_array
 from amalgam.words import Tower
 
 PRIMES = PrimeSeq.parse("2,3,5")
@@ -152,8 +150,8 @@ def test_intertwiner_rejects_wrong_relabel(tw: Tower):
     g = elementary(0, 1, 1)
     p = PRIMES.p(1)
     F = transform_matrix(p)
-    lhs = F[:, action_permutation(p, g)]
-    wrong = F[action_permutation(p, g.inverse()), :]  # relabel by g^-1 instead of g^T
+    lhs = F[:, image_table(p, g)]
+    wrong = F[image_table(p, g.inverse()), :]  # relabel by g^-1 instead of g^T
     assert float(np.linalg.norm(lhs - wrong, axis=0).max()) > 1e-2
 
 
@@ -161,7 +159,6 @@ def test_action_permutation_is_permutation():
     # the block-point codec: encode/decode round-trips, and each generator's
     # image table is a permutation of codes that agrees with the matrix
     # action point by point and composes like the matrices
-    assert action_permutation is image_table
     rng = np.random.default_rng(5)
     for p in (2, 3, 5, 7):
         pts = point_array(p)

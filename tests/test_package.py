@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "IDENTITY_MATRIX",
     "InvarianceDomainError",
     "KVector",
-    "L2Vector",
     "LambdaMatrix",
     "OrbitPartition",
     "OrthogonalityReport",

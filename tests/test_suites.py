@@ -9,8 +9,11 @@ from functools import lru_cache
 
 import pytest
 
+from amalgam import suites
+from amalgam.grammar import parse_element
 from amalgam.primes import PrimeSeq
 from amalgam.suites import SUITE_NAMES, Report, SuiteConfig, run_all, run_suite
+from amalgam.words import Tower
 
 SMALL = SuiteConfig(primes=PrimeSeq.parse("2,3,5,7,11"), seed=3, samples=40)
 TINY = SuiteConfig(primes=PrimeSeq.parse("2,3"), seed=1, samples=15, level=2)
@@ -37,6 +40,19 @@ def test_each_suite_passes_on_small_config(name):
     assert report.passed, [c for c in report.checks if c["outcome"] == "fail"]
     assert report.counts["fail"] == 0
     assert report.counts["pass"] >= 1
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_declared_table_lists_the_reported_checks(name):
+    # the table names every check and its parameters without running it
+    rows = [(check, params) for check, params, _ in suites._SUITES[name](SMALL)]
+    assert rows == [(c["check"], c["parameters"]) for c in _small_report(name).checks]
+
+
+def test_growth_panel_texts_round_trip():
+    tower = Tower(PrimeSeq.default())
+    for _, text in suites._GROWTH_PANEL:
+        assert parse_element(tower, text).format() == text
 
 
 def test_unknown_suite_rejected():
@@ -100,6 +116,26 @@ GOLDEN_DIGESTS = {
 def test_word_suite_reports_match_golden_digest(name):
     text = _stable(_small_report(name).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+# The same digests for one configured prime, recorded before the suites
+# became declared tables.  They cover the skip paths the SMALL config never
+# reaches: icc's two block-1 panel entries, xi's inconclusive probe, and
+# disjoint's early stops that leave its report empty.
+ONE_PRIME = SuiteConfig(primes=(2,), seed=1, samples=15)
+ONE_PRIME_DIGESTS = {
+    "icc": "803560d3210f5841f1a106ef4f86a6d43efce62c2195613afae1fe896fa55230",
+    "xi": "2882cd7975a9717b7158fafd8a918bcf204ab927644dc2468af50650f3acf4f4",
+    "disjoint": "2a8d747c69ab01cc189b3f75f54bd657723a1a0d2643c3558f91c797c2a968eb",
+    "orbits": "7c47c077b603b347b9dc78f842c72aa713d42078b569d3c88cd9088ec665d89f",
+    "bound": "9021e5bfb3cb7c840456f141210c128161ea60f99cc21aae8b51016aaeca7dff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PRIME_DIGESTS))
+def test_one_prime_reports_match_golden_digest(name):
+    text = _stable(run_suite(name, ONE_PRIME).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == ONE_PRIME_DIGESTS[name]
 
 
 def test_fourier_report_same_without_complex_block_path(monkeypatch):

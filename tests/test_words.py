@@ -7,12 +7,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from amalgam.fourier import block_points
 from amalgam.grammar import parse_element
 from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, LambdaMatrix, generator_ball
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
-from amalgam.semidirect import G0Element, KVector
+from amalgam.semidirect import G0Element, KVector, block_points
 from amalgam.words import GroupWord, Tower, _word
 from timelimit import time_limit
 
@@ -368,6 +367,12 @@ def test_identity_shortcut_keeps_the_product_in_this_tower(tw: Tower):
             assert prod.tower is tw
             assert prod == mine and prod.format() == text
         assert tw.mul(tw.identity(), mine) is mine and tw.mul(mine, tw.identity()) is mine
+    # the shortcut holds at every level: a reduced word of this tower is
+    # handed back as it is, not rebuilt by the engine
+    t = tw.stable(1)
+    assert tw.mul(tw.identity(), t) is t
+    assert tw.mul(t, tw.identity()) is t
+    assert tw.reduce([t]) is t
 
 
 def test_direct_word_construction_is_refused(tw: Tower):
