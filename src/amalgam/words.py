@@ -43,9 +43,10 @@ element grammar build their parts through the checking constructors, and
 `Tower.mul`/`inv`/`eq` (and so `conj`) and the membership predicates refuse
 words of a tower with other primes.  Results of arithmetic are built from
 such parts by the private `_word` constructor without re-checking.  A
-level-0 product with an identity operand returns the other operand when it
-belongs to this tower: level-0 words are canonical, so this is the same
-element in the same representation.
+product with an identity operand returns the other operand when it belongs
+to this tower: level-0 words are canonical and a word of a higher level
+is reduced when it is built, so this is the same element in the same
+representation the engine would return.
 
 `Tower.conj` of a lattice element (level 0, identity matrix) skips the
 rewriting engine while the conjugate stays in K: a matrix acts on the
