@@ -7,12 +7,12 @@ Basis vectors are indexed by reduced words compared by representation;
 base-lattice words have a unique representation, and a single
 conjugation relabels any support injectively, so every check in this
 module identifies keys soundly.  (Reduced words at level >= 1 admit more
-than one representation; vectors built by mixing independently reduced
-high-level keys are outside the contract — use Tower.eq to compare such
-words.)  The uniform block vectors produced by `xi` are fixed by every
-conjugation that normalizes their block, which `check_xi_invariance`
-verifies exactly: all coefficients of a uniform vector are equal, so
-invariance reduces to key-set equality under an injective relabeling.
+than one representation; to mix independently reduced high-level keys,
+map each through Tower.key, which gives every element one word.)  The
+uniform block vectors produced by `xi` are fixed by every conjugation
+that normalizes their block, which `check_xi_invariance` verifies
+exactly: all coefficients of a uniform vector are equal, so invariance
+reduces to key-set equality under an injective relabeling.
 Norm comparisons are decided on exact squared sums whenever the
 coefficients are rational.
 """
@@ -92,7 +92,7 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
         raise InvarianceDomainError(
             f"invariance is only claimed for block index n > {cutoff}, got n={n}"
         )
-    if not tower.membership(g, f"G{cutoff}"):
+    if not tower.in_gn(g, cutoff):
         raise ValueError(f"conjugator must lie at level <= {cutoff}, got level {g.level}")
     moved = []
     for k in tower.block(n):
@@ -156,9 +156,6 @@ class OrthogonalityReport:
     lhs_squared: object
     rhs_squared: object
     disjoint_supports: bool
-
-    def as_triple(self) -> tuple[float, float, bool]:
-        return (self.lhs, self.rhs, self.passed)
 
 
 def orthogonality_inequality_check(y: GroupAlgebraElement, cutoff: int) -> OrthogonalityReport:

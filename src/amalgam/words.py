@@ -10,10 +10,10 @@ alternating product
 
 with every x_i of level < L, every m_i nonzero, and no x_i between two
 stable powers lying in the glued subgroup.  Such words are never the
-identity (r >= 1), which is what makes equality decidable by rewriting
-a * b^{-1} to its reduced form.  No coset transversal is chosen, so two
-reduced words may still denote the same element; `Tower.eq` is the
-equality contract.
+identity (r >= 1).  Products choose no coset transversal, so two reduced
+words may denote the same element.  `Tower.key` gives each element one
+word, keeping only blocks below L-1 in each inner factor's last level-0
+part (Lyndon-Schupp IV.2; Serre, Trees I.1); `Tower.eq` compares keys.
 
 Every word the engine returns, and every `Tower.stable` letter, keeps one
 invariant: each non-identity factor except the last lies outside the
@@ -33,10 +33,10 @@ operation that reduces to the identity returns that object, so
 `GroupWord.is_identity` is an identity test on the object.  `Tower.inv`
 caches its result on the word it inverted, one way only: the inverse of
 that result is reduced afresh when asked for, never short-circuited back
-to the original word.  Without a canonical form a reduced inverse of the
-inverse may be a different representation of the same element, and a
-two-way cache would let the order of earlier calls decide which one
-later results (and reports) are built from.
+to the original word.  Reduced words are not canonical, so a reduced
+inverse of the inverse may be a different representation of the same
+element, and a two-way cache would let the order of earlier calls decide
+which one later results (and reports) are built from.
 
 Validation happens at the boundary: `Tower.h`, `k_vector`, `lam` and the
 element grammar build their parts through the checking constructors, and
@@ -67,10 +67,9 @@ from .matrices import (
     IDENTITY_MATRIX,
     LambdaMatrix,
     _ID_ROWS,
-    generator_ball,
 )
 from .primes import PrimeSeq
-from .semidirect import G0Element, KVector, ZERO_K, _g0, block_points
+from .semidirect import G0Element, KVector, ZERO_K, _g0, _kvec, block_points
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
@@ -85,9 +84,9 @@ class GroupWord:
     Calling `GroupWord(...)` raises TypeError: a word built outside the
     tower could be an identity that is not the tower's identity word.
     Structural equality/hash compare the representation, not the group
-    element; use Tower.eq for element equality.  The tower's single
-    identity word is the only identity word, and the word remembers its
-    inverse once `Tower.inv` has computed it (one way only; see the
+    element; use Tower.eq or Tower.key for element equality.  The tower's
+    single identity word is the only identity word, and the word remembers
+    its inverse once `Tower.inv` has computed it (one way only; see the
     module docstring).
     """
 
@@ -172,7 +171,6 @@ class Tower:
             primes = PrimeSeq.default()
         self.primes = _primes_mod.as_prime_seq(primes)
         self._identity = _word(self, 0, G0Element.identity())
-        self._ball_cache: dict[int, tuple[GroupWord, ...]] = {}
         self._alphabet_cache: dict[tuple[int, int], tuple[GroupWord, ...]] = {}
         self._block_cache: dict[int, tuple[GroupWord, ...]] = {}
 
@@ -394,14 +392,49 @@ class Tower:
         return self._conj_k(k, factors[0])
 
     def eq(self, a: GroupWord, b: GroupWord) -> bool:
-        """Element equality, decided by reducing a * b^{-1}."""
+        """Element equality: the two words have the same key."""
         if a.tower is not self:
             self._check(a)
         if b.tower is not self:
             self._check(b)
         if a is b or a == b:
             return True
-        return self.mul(a, self.inv(b)).is_identity
+        return self.key(a) == self.key(b)
+
+    def key(self, w: GroupWord) -> GroupWord:
+        """The canonical word of w's element; w itself when w is one.
+
+        Each inner factor, times the carry in K_{L-1} from its left, has its
+        key split as c * k (`_split`); c lies outside K_{L-1} as the factor
+        does, so a key is a reduced word, and k is the next carry.
+        """
+        if w.tower is not self:
+            self._check(w)
+        if w.level == 0:
+            return w
+        out, carry = [], self._identity
+        for x in w.factors[:-1]:
+            c, carry = self._split(self.key(self._times(carry, x)), w.level - 1)
+            out.append(c)
+        out.append(self.key(self._times(carry, w.factors[-1])))
+        if all(c is x for c, x in zip(out, w.factors)):
+            return w
+        return _word(self, w.level, None, tuple(out), w.exponents)
+
+    def _split(self, y: GroupWord, cutoff: int) -> tuple[GroupWord, GroupWord]:
+        """y = c * k for a key y, with k = c^-1 y in K_cutoff: c is y with its
+        innermost last level-0 factor (v, lambda) cut to v's blocks below the cutoff."""
+        if y.level:
+            c, k = self._split(y.factors[-1], cutoff)
+            if c is not y.factors[-1]:
+                y = _word(self, y.level, None, y.factors[:-1] + (c,), y.exponents)
+            return y, k
+        items = y.g0.k.items
+        low = tuple(b for b in items if b[0] < cutoff)
+        if len(low) == len(items):
+            return y, self._identity
+        c = self.g0(_g0(_kvec(low), y.g0.lam))
+        return c, self.mul(self.inv(c), y)
 
     def reduce(self, word: GroupWord | Iterable[GroupWord]) -> GroupWord:
         """Reduce a raw word (a sequence of already-built syllables or a word)."""
@@ -415,44 +448,6 @@ class Tower:
 
     # ------------------------------------------------------------------
     # conjugacy growth
-
-    def lambda_ball(self, radius: int) -> tuple[GroupWord, ...]:
-        """Pure matrix elements that are products of <= radius generators."""
-        if radius not in self._ball_cache:
-            self._ball_cache[radius] = tuple(
-                self.lam(m) for m in generator_ball(radius)
-            )
-        return self._ball_cache[radius]
-
-    def lambda_image(self, w: GroupWord) -> LambdaMatrix:
-        """Image under the quotient that kills coordinates and stable letters."""
-        if w.level == 0:
-            return w.g0.lam
-        out = IDENTITY_MATRIX
-        for x in w.factors:
-            out = out * self.lambda_image(x)
-        return out
-
-    def _conjugate_key(self, w: GroupWord):
-        # invariant of the element (not just the representation): level-0
-        # words are canonical; higher words are pinned up to glued-subgroup
-        # shifts, under which exponents and factorwise matrix images are stable
-        if w.level == 0:
-            return (0, w.g0)
-        return (
-            w.level,
-            w.exponents,
-            tuple(self.lambda_image(x).rows for x in w.factors),
-        )
-
-    def _register(self, buckets: dict, w: GroupWord) -> bool:
-        """Add a conjugate to the distinct set; True if it was new."""
-        bucket = buckets.setdefault(self._conjugate_key(w), [])
-        for rep in bucket:
-            if self.eq(w, rep):
-                return False
-        bucket.append(w)
-        return True
 
     def alphabet(self, level_cap: int, block_cap: int = 3) -> tuple[GroupWord, ...]:
         """Finite generating letters used for word-metric balls.
@@ -495,16 +490,16 @@ class Tower:
             letters = self.alphabet(level_cap=g.level + 1)
         else:
             letters = [self.lam(m) for m in ELEMENTARY_GENERATORS]
-        buckets: dict = {}
-        self._register(buckets, g)
+        frontier = [self.key(g)]
+        seen = set(frontier)
         counts = [1]
-        frontier = [g]
         for _ in range(radius):
             nxt: list[GroupWord] = []
             for c in frontier:
                 for ltr in letters:
-                    cand = self.conj(c, ltr)
-                    if self._register(buckets, cand):
+                    cand = self.key(self.conj(c, ltr))
+                    if cand not in seen:
+                        seen.add(cand)
                         nxt.append(cand)
             counts.append(counts[-1] + len(nxt))
             frontier = nxt

@@ -121,12 +121,13 @@ def test_word_suite_reports_match_golden_digest(name):
 # The same digests for one configured prime, recorded before the suites
 # became declared tables.  They cover the skip paths the SMALL config never
 # reaches: icc's two block-1 panel entries, xi's inconclusive probe, and
-# disjoint's early stops that leave its report empty.
+# disjoint's rows that need more primes (its digest re-recorded when those
+# rows, once left out of the report, became skips).
 ONE_PRIME = SuiteConfig(primes=(2,), seed=1, samples=15)
 ONE_PRIME_DIGESTS = {
     "icc": "803560d3210f5841f1a106ef4f86a6d43efce62c2195613afae1fe896fa55230",
     "xi": "2882cd7975a9717b7158fafd8a918bcf204ab927644dc2468af50650f3acf4f4",
-    "disjoint": "2a8d747c69ab01cc189b3f75f54bd657723a1a0d2643c3558f91c797c2a968eb",
+    "disjoint": "dc8a29e6a1df06fbd528afce5cb138e70a3769fe7c60d263b6086f52388f4be6",
     "orbits": "7c47c077b603b347b9dc78f842c72aa713d42078b569d3c88cd9088ec665d89f",
     "bound": "9021e5bfb3cb7c840456f141210c128161ea60f99cc21aae8b51016aaeca7dff",
 }
@@ -136,6 +137,39 @@ ONE_PRIME_DIGESTS = {
 def test_one_prime_reports_match_golden_digest(name):
     text = _stable(run_suite(name, ONE_PRIME).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == ONE_PRIME_DIGESTS[name]
+
+
+def test_one_prime_disjoint_report_records_a_skip_per_row():
+    report = run_suite("disjoint", ONE_PRIME)
+    assert report.passed and report.counts == {"pass": 0, "fail": 0, "skip": 10}
+    got = [(c["check"], c["parameters"], c["reason"]) for c in report.checks]
+    assert got == [
+        ("conjugate-escapes-lattice", {"cutoff": 1}, "needs at least 2 primes"),
+        ("conjugate-fixes-high-blocks", {"cutoff": 1}, "needs at least 2 primes"),
+        ("conjugate-escapes-lattice", {"cutoff": 2}, "needs at least 3 primes"),
+        ("conjugate-fixes-high-blocks", {"cutoff": 2}, "needs at least 3 primes"),
+        ("conjugate-escapes-lattice", {"cutoff": 3}, "needs at least 4 primes"),
+        ("conjugate-fixes-high-blocks", {"cutoff": 3}, "needs at least 4 primes"),
+        ("orthogonality-inequality", {"cutoff": 1}, "needs at least 3 primes"),
+        ("expectation-projection", {"cutoff": 1}, "needs at least 3 primes"),
+        ("orthogonality-inequality", {"cutoff": 2}, "needs at least 4 primes"),
+        ("expectation-projection", {"cutoff": 2}, "needs at least 4 primes"),
+    ]
+
+
+def test_disjoint_skips_draw_nothing_from_the_sampler(monkeypatch):
+    # at three primes the rows that run report the same without the skipped rows
+    three = SuiteConfig(primes=(2, 3, 5), seed=1, samples=15)
+    ran = [c for c in run_suite("disjoint", three).checks if c["outcome"] != "skip"]
+    kept = [(c["check"], c["parameters"]) for c in ran]
+    table = suites._disjoint_checks
+    monkeypatch.setitem(suites._SUITES, "disjoint",
+                        lambda config: [row for row in table(config) if row[:2] in kept])
+    alone = run_suite("disjoint", three).checks
+    assert len(ran) == 6 and len(alone) == 6
+    for c in ran + alone:
+        del c["elapsed_s"]
+    assert alone == ran
 
 
 def test_fourier_report_same_without_complex_block_path(monkeypatch):

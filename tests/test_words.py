@@ -181,13 +181,6 @@ def test_alphabet_contents(tw: Tower):
     assert other == letters and other is not letters
 
 
-def test_lambda_ball_and_image(tw: Tower):
-    assert len(tw.lambda_ball(0)) == 1
-    assert len(tw.lambda_ball(1)) == 13
-    lam = tw.lam(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
-    assert tw.lambda_image(lam).rows == ((1, 2, 0), (0, 1, 0), (0, 0, 1))
-
-
 # Frozen oracle: conjugate-counting growth profiles at radii 0..3.  The
 # matrix row was recomputed by brute force over plain generator balls
 # ({m g m^-1 : |m| <= r}); the lattice row is the orbit filling of a unit
@@ -495,6 +488,54 @@ def test_conj_and_eq_reject_foreign_words():
         for args in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="tower"):
                 op(*args)
+    for w in (b, theirs.mul(theirs.stable(2), b)):
+        with pytest.raises(ValueError, match="tower"):
+            ours.key(w)
+
+
+def test_key_pushes_the_glued_part_right(tw: Tower):
+    # (h(1;0,1,0), L) = (0, L) * (L^-1 h(1;0,1,0), I), and the second factor
+    # lies in K_1, which commutes with t(2)
+    a = parse_element(tw, "t(2) * h(1;0,1,0) * L[1,1,0;0,1,0;0,0,1] * t(2)")
+    b = parse_element(tw, "t(2) * L[1,1,0;0,1,0;0,0,1] * t(2) * h(1;2,1,0)")
+    assert a != b and tw.eq(a, b) and tw.eq(b, a)
+    assert tw.key(a) == b and tw.key(b) is b
+    assert a.format() == "t(2) * h(1;0,1,0) * L[1,1,0;0,1,0;0,0,1] * t(2)"  # printed as built
+    for text in ("h(1;1,2,0)", "L[1,2,0;0,1,0;0,0,1]", "h(0;1,0,0) * L[1,0,0;1,1,0;0,0,1]", "e"):
+        w = parse_element(tw, text)
+        assert tw.key(w) is w
+
+
+# a sampled word w and w * t^m * k * t^-m * k^-1 with k in the glued
+# subgroup are one element, often in two representations
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.integers(0, 2**32 - 1))
+def test_eq_is_key_equality(seed: int):
+    tw = Tower(PRIMES)
+    rng = random.Random(seed)
+    sampler = Sampler(tw, seed=seed)
+
+    def draw() -> GroupWord:
+        level = rng.randint(0, 3)
+        if level and rng.random() < 0.5:
+            return sampler.reduced_word(level, syllables=rng.randint(1, 3))
+        return sampler.word(rng.randint(1, 6), level_cap=level)
+
+    with time_limit(10.0):
+        for _ in range(8):
+            a, b = draw(), draw()
+            level, m = max(a.level, 1), rng.choice((-2, -1, 1, 2))
+            k = sampler.lattice_word(range(level - 1, len(PRIMES)), nonzero=True)
+            same = tw.reduce([a, tw.stable(level, m), k, tw.stable(level, -m), tw.inv(k)])
+            assert tw.eq(a, same) and tw.key(a) == tw.key(same)
+            for x, y in ((a, b), (b, a), (a, same), (same, b)):
+                # reducing x * y^-1 is the reference for element equality
+                assert tw.eq(x, y) == (tw.key(x) == tw.key(y)) == tw.mul(x, tw.inv(y)).is_identity
+            for w in (a, b, same):
+                key = tw.key(w)
+                assert tw.key(key) is key and key.level == w.level
+                assert tw.mul(key, tw.inv(w)).is_identity
 
 
 class _TokenTower(Tower):
