@@ -430,10 +430,9 @@ class Tower:
                 y = _word(self, y.level, None, y.factors[:-1] + (c,), y.exponents)
             return y, k
         items = y.g0.k.items
-        low = tuple(b for b in items if b[0] < cutoff)
-        if len(low) == len(items):
+        if not items or items[-1][0] < cutoff:  # blocks are sorted by index
             return y, self._identity
-        c = self.g0(_g0(_kvec(low), y.g0.lam))
+        c = self.g0(_g0(_kvec(tuple(b for b in items if b[0] < cutoff)), y.g0.lam))
         return c, self.mul(self.inv(c), y)
 
     def reduce(self, word: GroupWord | Iterable[GroupWord]) -> GroupWord:
