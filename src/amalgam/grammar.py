@@ -21,6 +21,17 @@ has entries of about 1.39*m bits), so a short text could otherwise ask
 for unbounded memory; under the cap the product, inverse or conjugate of
 parsed elements stays within Python's default limit of 4300 digits for
 printing an int.
+
+Each tower keeps the terms it has parsed (an atom with its `^m` tail),
+keyed by the term's text, so a text that comes back is matched but not
+converted, validated and built again.  The cache holds TERM_CACHE_SIZE
+terms of at most TERM_CACHE_TEXT characters, the first ones seen, and
+adds none once full, so its memory is bounded by constants.  It keeps
+no word: a level-0 term is kept as its G0Element and a stable power as
+(level, m), and the tower's word is rebuilt from them, since a cached
+word would hold its tower.  Only terms that parse are kept, so every
+error and its offset is raised afresh.  The cache lives on the tower
+and not in the module, so a fresh tower parses from a cold start.
 """
 from __future__ import annotations
 
@@ -28,6 +39,7 @@ import re
 from typing import NoReturn
 
 from .matrices import IDENTITY_MATRIX, LambdaMatrix
+from .semidirect import G0Element
 from .words import GroupWord, Tower
 
 __all__ = [
@@ -35,6 +47,8 @@ __all__ = [
 ]
 
 MAX_ENTRY_BITS = 3000
+TERM_CACHE_SIZE = 128  # parsed terms kept per tower
+TERM_CACHE_TEXT = 64   # longest term text kept, in characters
 
 
 class ElementSyntaxError(ValueError):
@@ -160,6 +174,13 @@ def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
     m = pattern and pattern.match(text, pos)
     if not m:
         _fail(text, pos)
+    key = m.group(0)
+    cache = tower._term_cache
+    hit = cache.get(key)
+    if hit is not None:
+        part, bits = hit
+        word = tower.g0(part) if type(part) is G0Element else tower.stable(*part)
+        return word, bits, m.end()
     end = m.start(count + 1)
     word = _atom(tower, first, [_int(m, i) for i in range(1, count + 1)], end)
     if m.group(count + 2) is not None:
@@ -173,7 +194,11 @@ def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
                 if _matrix_bits(lam) > MAX_ENTRY_BITS:
                     raise _too_large(end)
         word = word**power
-    return word, _bounded(word, end), m.end()
+    bits = _bounded(word, end)
+    if len(cache) < TERM_CACHE_SIZE and len(key) <= TERM_CACHE_TEXT:
+        # a term above level 0 is a stable power t(N)^m
+        cache[key] = (word.g0 if word.level == 0 else (word.level, word.exponents[0]), bits)
+    return word, bits, m.end()
 
 
 def parse_element(tower: Tower, text: str) -> GroupWord:

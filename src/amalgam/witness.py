@@ -81,13 +81,15 @@ class InvarianceDomainError(ValueError):
 def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool:
     """Exact check that conjugation by g fixes xi(n), for g at level <= cutoff.
 
-    The claim is only made for n > cutoff; asking below that raises
-    InvarianceDomainError so callers can distinguish "outside the claimed
-    range" from a genuine failure.  Because all coefficients of xi(n) are
-    equal and conjugation relabels injectively, invariance is exactly
-    key-set equality: every conjugate is a coordinate element of block n,
-    and their point codes cover the whole block.
+    The claim is only made for cutoff >= 0 and n > cutoff; asking outside
+    that raises InvarianceDomainError so callers can distinguish "outside
+    the claimed range" from a genuine failure.  Because all coefficients
+    of xi(n) are equal and conjugation relabels injectively, invariance is
+    exactly key-set equality: every conjugate is a coordinate element of
+    block n, and their point codes cover the whole block.
     """
+    if cutoff < 0:
+        raise InvarianceDomainError(f"invariance is only claimed for cutoff >= 0, got {cutoff}")
     if n <= cutoff:
         raise InvarianceDomainError(
             f"invariance is only claimed for block index n > {cutoff}, got n={n}"

@@ -173,6 +173,8 @@ class Tower:
         self._identity = _word(self, 0, G0Element.identity())
         self._alphabet_cache: dict[tuple[int, int], tuple[GroupWord, ...]] = {}
         self._block_cache: dict[int, tuple[GroupWord, ...]] = {}
+        # the element grammar's parsed terms, by text (see `grammar`)
+        self._term_cache: dict[str, tuple[G0Element | tuple[int, int], int]] = {}
 
     # ------------------------------------------------------------------
     # element constructors

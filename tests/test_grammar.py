@@ -1,12 +1,16 @@
 """Element text grammar: parse and format round trips."""
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from amalgam.grammar import (
     MAX_ENTRY_BITS,
+    TERM_CACHE_SIZE,
+    TERM_CACHE_TEXT,
     ElementSyntaxError,
     UnconfiguredPrimeError,
     format_element,
@@ -183,10 +187,9 @@ ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text, kind, message, position", ERRORS)
-def test_error_surface(tw: Tower, text: str, kind: type, message: str, position: int | None):
+def _raises_as_listed(tower: Tower, text: str, kind: type, message: str, position: int | None):
     with pytest.raises(kind) as err:
-        parse_element(tw, text)
+        parse_element(tower, text)
     assert type(err.value) is kind
     if position is None:
         assert str(err.value) == message
@@ -194,6 +197,11 @@ def test_error_surface(tw: Tower, text: str, kind: type, message: str, position:
     else:
         assert str(err.value) == f"{message} (at offset {position})"
         assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, kind, message, position", ERRORS)
+def test_error_surface(tw: Tower, text: str, kind: type, message: str, position: int | None):
+    _raises_as_listed(tw, text, kind, message, position)
 
 
 @pytest.mark.parametrize("template, position", [
@@ -265,3 +273,80 @@ def test_format_parse_round_trip_at_each_level(seed: int, length: int, level: in
     tw = Tower(PRIMES)
     w = Sampler(tw, seed=seed).word(length, level_cap=level)
     assert tw.eq(parse_element(tw, format_element(w)), w)
+
+
+# ----------------------------------------------------------------------
+# the per-tower term cache
+
+_ATOM_TEXTS = ("e", "t(1)", "t(2)", "t(3)", "h(0;1,0,0)", "h(1;0,-1,0)", "h(2;0,0,4)",
+               "L[1,1,0;0,1,0;0,0,1]", "L[1,0,0;0,1,-1;0,0,1]", "L[0,-1,0;1,0,0;0,0,1]", HYPERBOLIC)
+
+
+@st.composite
+def _alphabet_texts(draw):
+    """One to four atoms with powers, joined and spaced in varied ways."""
+    space = st.sampled_from(("", " ", "  ", "\t", "\u3000"))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        term = draw(st.sampled_from(_ATOM_TEXTS)).replace(",", draw(st.sampled_from((",", ", ", " ,"))))
+        if draw(st.booleans()):
+            term += draw(space) + "^" + draw(space) + str(draw(st.sampled_from((-1, 1, 2, -3, 7, -40, 300))))
+        terms.append(draw(space) + term + draw(space))
+    return "*".join(terms)
+
+
+_WARM = Tower(PRIMES)  # shared by every example, so it warms up and fills
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_alphabet_texts())
+def test_warm_tower_parses_as_a_fresh_one(text: str):
+    fresh = parse_element(Tower(PRIMES), text)
+    for _ in range(2):  # the second parse reads its terms from the cache, while it has room
+        warm = parse_element(_WARM, text)
+        assert warm == fresh and warm.format() == fresh.format()
+        assert warm.tower is _WARM
+
+
+def test_errors_are_the_same_on_a_warm_tower():
+    tower = Tower(PRIMES)
+    wellformed = [piece for text, *_ in ERRORS for piece in text.split("*")] + list(_ATOM_TEXTS)
+    for piece in wellformed:
+        try:
+            parse_element(tower, piece)
+        except ValueError:
+            pass
+    assert len(tower._term_cache) >= len(_ATOM_TEXTS)
+    for row in ERRORS:
+        _raises_as_listed(tower, *row)
+
+
+def test_term_cache_stays_within_its_cap():
+    tower = Tower(PRIMES)
+    texts = [f"h(2;{i},0,0) * t(1)^{i}" for i in range(TERM_CACHE_SIZE)]
+    for text in texts:
+        parse_element(tower, text)
+    assert len(tower._term_cache) == TERM_CACHE_SIZE
+    # once full, new terms parse as before and are not kept
+    for text in texts:
+        assert parse_element(tower, text) == parse_element(Tower(PRIMES), text)
+    assert len(tower._term_cache) == TERM_CACHE_SIZE
+    # nor is a term whose text is longer than the cap on text
+    tower = Tower(PRIMES)
+    long = "L[1," + "0" * TERM_CACHE_TEXT + "1,0;0,1,0;0,0,1]"
+    assert parse_element(tower, long).format() == "L[1,1,0;0,1,0;0,0,1]"
+    assert not tower._term_cache
+
+
+def test_term_cache_holds_no_word():
+    tower = Tower(PRIMES)
+    parse_element(tower, " * ".join(f"{a}^-2" for a in _ATOM_TEXTS))
+    assert len(tower._term_cache) == len(_ATOM_TEXTS)
+    seen, stack = set(), [tower._term_cache]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (GroupWord, Tower))
+        stack.extend(gc.get_referents(obj))

@@ -121,12 +121,12 @@ def test_word_suite_reports_match_golden_digest(name):
 # The same digests for one configured prime, recorded before the suites
 # became declared tables.  They cover the skip paths the SMALL config never
 # reaches: icc's two block-1 panel entries, xi's inconclusive probe, and
-# disjoint's rows that need more primes (its digest re-recorded when those
-# rows, once left out of the report, became skips).
+# disjoint's and xi's rows that need more primes (their digests re-recorded
+# when those rows, once left out of the report, became skips).
 ONE_PRIME = SuiteConfig(primes=(2,), seed=1, samples=15)
 ONE_PRIME_DIGESTS = {
     "icc": "803560d3210f5841f1a106ef4f86a6d43efce62c2195613afae1fe896fa55230",
-    "xi": "2882cd7975a9717b7158fafd8a918bcf204ab927644dc2468af50650f3acf4f4",
+    "xi": "7143b19f6ce175fb9d49d58ef8c6b35aa1851ed9ee30015893023f86728f5278",
     "disjoint": "dc8a29e6a1df06fbd528afce5cb138e70a3769fe7c60d263b6086f52388f4be6",
     "orbits": "7c47c077b603b347b9dc78f842c72aa713d42078b569d3c88cd9088ec665d89f",
     "bound": "9021e5bfb3cb7c840456f141210c128161ea60f99cc21aae8b51016aaeca7dff",
@@ -167,6 +167,35 @@ def test_disjoint_skips_draw_nothing_from_the_sampler(monkeypatch):
                         lambda config: [row for row in table(config) if row[:2] in kept])
     alone = run_suite("disjoint", three).checks
     assert len(ran) == 6 and len(alone) == 6
+    for c in ran + alone:
+        del c["elapsed_s"]
+    assert alone == ran
+
+
+def test_one_prime_xi_rows_that_run_match_the_report_without_skips():
+    # the digest of the one-prime xi report from before its rows on
+    # unconfigured blocks were recorded as skips
+    report = run_suite("xi", ONE_PRIME)
+    skipped = [c for c in report.checks if c.get("reason", "").startswith("needs at least")]
+    assert [c["reason"] for c in skipped if c["parameters"]["n"] == 1] == ["needs at least 2 primes"] * 8
+    ran = [c for c in report.checks if c not in skipped]
+    assert [c["check"] for c in ran] == ["identity-overlap"] + ["violation-search"] * 3
+    text = _stable(Report("xi", ONE_PRIME, ran, 0).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2882cd7975a9717b7158fafd8a918bcf204ab927644dc2468af50650f3acf4f4")
+
+
+def test_xi_skips_draw_nothing_from_the_sampler(monkeypatch):
+    # at three primes the rows that run report the same without the skipped rows
+    three = SuiteConfig(primes=(2, 3, 5), seed=1, samples=15)
+    ran = [c for c in run_suite("xi", three).checks
+           if not c.get("reason", "").startswith("needs at least")]
+    kept = [(c["check"], c["parameters"]) for c in ran]
+    table = suites._xi_checks
+    monkeypatch.setitem(suites._SUITES, "xi",
+                        lambda config: [row for row in table(config) if row[:2] in kept])
+    alone = run_suite("xi", three).checks
+    assert len(ran) == 21 and len(alone) == 21
     for c in ran + alone:
         del c["elapsed_s"]
     assert alone == ran

@@ -112,6 +112,13 @@ def test_check_xi_invariance_domain_guard(tw: Tower):
         check_xi_invariance(tw, 0, 1, tw.stable(1))
 
 
+def test_check_xi_invariance_refuses_a_negative_cutoff():
+    # n > cutoff holds, but no conjugator lies at a level below 0
+    tower = Tower("2,3,5")
+    with pytest.raises(InvarianceDomainError, match="cutoff >= 0"):
+        check_xi_invariance(tower, -1, 0, tower.identity())
+
+
 def test_check_xi_invariance_rejects_broken_conjugation(monkeypatch):
     # Within its domain the check always holds, so each way it can fail is
     # shown with a substituted conjugation: one leaving the lattice, one
