@@ -174,7 +174,7 @@ def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
     m = pattern and pattern.match(text, pos)
     if not m:
         _fail(text, pos)
-    key = m.group(0)
+    key = m.group(0).rstrip()  # a tail of spaces is not part of the term
     cache = tower._term_cache
     hit = cache.get(key)
     if hit is not None:

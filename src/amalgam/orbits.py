@@ -20,7 +20,7 @@ import numpy as np
 
 from .matrices import ELEMENTARY_GENERATORS
 from .primes import PrimeSeq
-from .semidirect import block_points, codes, product_image
+from .semidirect import block_points, product_image
 
 __all__ = [
     "OrbitPartition",
@@ -69,16 +69,6 @@ class OrbitPartition:
     def block_count(self) -> int:
         return len(self.block_sizes)
 
-    def block_of(self, point: tuple[Triple, ...]) -> int:
-        """Block number of a point: one reduced triple per block, else KeyError."""
-        if len(point) != len(self.primes_used):
-            raise KeyError(point)
-        code = 0
-        for p, x in zip(self.primes_used, point):
-            if len(x) != 3 or not all(0 <= v < p for v in x):
-                raise KeyError(point)
-            code = code * p**3 + int(codes(x, p))
-        return int(self.labels[code])
 
 
 def diagonal_orbits(

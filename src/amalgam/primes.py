@@ -36,8 +36,7 @@ class PrimeSeq:
     """An explicit finite prefix p_0, p_1, ... of distinct primes.
 
     Index n hosts a rank-3 coordinate block mod p_n.  Operations that
-    would need an index beyond the configured prefix raise IndexError;
-    use extended() to lengthen the prefix on demand.
+    would need an index beyond the configured prefix raise IndexError.
     """
 
     primes: tuple[int, ...]
@@ -87,15 +86,6 @@ class PrimeSeq:
     def cube(self, n: int) -> int:
         """Size p_n**3 of the rank-3 block at index n."""
         return self.p(n) ** 3
-
-    def extended(self, count: int) -> "PrimeSeq":
-        """A longer sequence: `count` further primes above the current maximum."""
-        out = list(self.primes)
-        p = max(out)
-        for _ in range(count):
-            p = next_prime(p)
-            out.append(p)
-        return PrimeSeq(tuple(out))
 
     def __len__(self) -> int:
         return len(self.primes)

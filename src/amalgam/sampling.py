@@ -130,9 +130,6 @@ class Sampler:
     def unit_ball_values(self, count: int) -> list[Fraction]:
         return [self.rational_unit() for _ in range(count)]
 
-    def sign_values(self, count: int) -> list[int]:
-        return [self.rng.choice((-1, 1)) for _ in range(count)]
-
     def lattice_vector(self, blocks, size: int = 4) -> GroupAlgebraElement:
         """Rational vector supported on random base-lattice words."""
         tw = self.tower

@@ -117,9 +117,6 @@ class KVector:
     def support(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.items)
 
-    def min_index(self) -> int | None:
-        return self.items[0][0] if self.items else None
-
     def block(self, n: int) -> Triple:
         for m, c in self.items:
             if m == n:

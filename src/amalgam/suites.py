@@ -1,16 +1,20 @@
 """Named verification suites with deterministic, diffable JSON reports.
 
-Each suite is one declared table of (check, parameters, function) rows,
-built from the config alone.  A check is a module-level function whose
-keyword arguments are its report parameters: `run_suite` calls it as
+Each suite is one declared table of (check, parameters, function, primes)
+rows, built from the config alone.  A check is a module-level function
+whose keyword arguments are its report parameters: `run_suite` calls it as
 fn(context, **parameters), in table order, where the context holds the
 config, a fresh tower and one seeded sampler whose stream is the suite's
-only randomness.  So two runs with the same config are byte-identical
-apart from the elapsed_s timing fields.  Outcomes are "pass", "fail", or
-"skip" (skips carry a reason and never fail a run); the process-level
-contract is exit 0 when nothing failed, 1 otherwise, and 2 for unusable
-configuration.  An exception raised inside a check is that check's
-failure, never a configuration error.
+only randomness.  `primes` is how many configured primes the row needs.
+A table declares the same rows at every prime count (bound's windows
+follow the count, and all its rows run); a row that needs more primes
+than are configured is a skip that calls nothing, and its parameters name
+no unconfigured prime, e.g. {"p": None, "n": 3}.  So two runs with the
+same config are byte-identical apart from the elapsed_s timing fields.
+Outcomes are "pass", "fail", or "skip" (skips carry a reason and never
+fail a run); the process-level contract is exit 0 when nothing failed,
+1 otherwise, and 2 for unusable configuration.  An exception raised
+inside a check is that check's failure, never a configuration error.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fourier import check_intertwiner, fourier, inverse_fourier, projection_en
-from .grammar import UnconfiguredPrimeError, parse_element
+from .grammar import parse_element
 from .matrices import ELEMENTARY_GENERATORS, generator_ball
 from .orbits import (
     DEFAULT_SIZE_GUARD, SizeGuardExceeded, diagonal_orbits, fixed_point_dimension,
@@ -197,29 +201,26 @@ def _matrix_ball_sizes(ctx: _Context, radius: int):
     return _verdict(got == expected), {"sizes": got, "expected": expected}
 
 
-# (region, element); the block-1 entries need a second configured prime
+# (region, element, primes it needs): the block-1 entries need a second prime
 _GROWTH_PANEL = (
-    ("matrix", "L[1,1,0;0,1,0;0,0,1]"),
-    ("matrix", "L[1,1,1;0,1,1;0,0,1]"),
-    ("mixed-base", "h(0;1,0,0) * L[1,1,0;0,1,0;0,0,1]"),
-    ("lattice", "h(0;1,0,0)"),
-    ("lattice", "h(1;1,2,0)"),
-    ("lattice", "h(0;1,1,0) * h(1;0,0,1)"),
-    ("level-1", "t(1)"),
-    ("level-1", "t(1) * L[1,1,0;0,1,0;0,0,1]"),
-    ("level-1", "t(1)^2 * h(0;1,0,0)"),
-    ("level-2", "t(2)"),
-    ("level-2", "t(2) * h(0;1,0,0)"),
-    ("level-2", "t(2) * t(1)"),
+    ("matrix", "L[1,1,0;0,1,0;0,0,1]", 1),
+    ("matrix", "L[1,1,1;0,1,1;0,0,1]", 1),
+    ("mixed-base", "h(0;1,0,0) * L[1,1,0;0,1,0;0,0,1]", 1),
+    ("lattice", "h(0;1,0,0)", 1),
+    ("lattice", "h(1;1,2,0)", 2),
+    ("lattice", "h(0;1,1,0) * h(1;0,0,1)", 2),
+    ("level-1", "t(1)", 1),
+    ("level-1", "t(1) * L[1,1,0;0,1,0;0,0,1]", 1),
+    ("level-1", "t(1)^2 * h(0;1,0,0)", 1),
+    ("level-2", "t(2)", 1),
+    ("level-2", "t(2) * h(0;1,0,0)", 1),
+    ("level-2", "t(2) * t(1)", 1),
 )
 
 
 def _conjugate_growth(ctx: _Context, element: str, region: str):
     # `region` only labels the record
-    try:
-        g = parse_element(ctx.tower, element)
-    except UnconfiguredPrimeError:
-        return "skip", {"reason": "block 1 not configured: needs at least 2 primes"}
+    g = parse_element(ctx.tower, element)
     radius = ctx.config.radius
     profile = ctx.tower.conjugate_growth_profile(g, radius)
     monotone = all(a <= b for a, b in zip(profile, profile[1:]))
@@ -230,13 +231,13 @@ def _conjugate_growth(ctx: _Context, element: str, region: str):
 def _icc_checks(config: SuiteConfig) -> list:
     level_cap = min(3, config.level)
     return [
-        ("group-axioms", {"max_length": 8, "level_cap": level_cap}, _group_axioms),
+        ("group-axioms", {"max_length": 8, "level_cap": level_cap}, _group_axioms, 1),
         ("reduced-word-soundness", {"level_cap": level_cap, "syllables": "1..3"},
-         _reduced_word_soundness),
-        ("matrix-ball-sizes", {"radius": min(config.radius, 3)}, _matrix_ball_sizes),
+         _reduced_word_soundness, 1),
+        ("matrix-ball-sizes", {"radius": min(config.radius, 3)}, _matrix_ball_sizes, 1),
     ] + [
-        ("conjugate-growth", {"element": element, "region": region}, _conjugate_growth)
-        for region, element in _GROWTH_PANEL
+        ("conjugate-growth", {"element": element, "region": region}, _conjugate_growth, need)
+        for region, element, need in _GROWTH_PANEL
     ]
 
 
@@ -285,11 +286,12 @@ def _fixed_point_dimension(ctx: _Context, primes: list[int]):
 
 def _orbits_checks(config: SuiteConfig) -> list:
     rows = []
-    for count in range(1, min(3, len(config.primes)) + 1):
-        used = [config.primes.p(n) for n in range(count)]
+    for count in (1, 2, 3):
+        params = ({"primes": list(config.primes)[:count]} if count <= len(config.primes)
+                  else {"primes": None, "count": count})
         rows += [
-            ("diagonal-orbit-blocks", {"primes": used}, _diagonal_orbit_blocks),
-            ("fixed-point-dimension", {"primes": used}, _fixed_point_dimension),
+            ("diagonal-orbit-blocks", params, _diagonal_orbit_blocks, count),
+            ("fixed-point-dimension", params, _fixed_point_dimension, count),
         ]
     return rows
 
@@ -371,14 +373,14 @@ def _projection_matches_transform(ctx: _Context, p: int, n: int):
 
 def _fourier_checks(config: SuiteConfig) -> list:
     rows = []
-    for n in range(min(4, len(config.primes))):
-        params = {"p": config.primes.p(n), "n": n}
+    for n in range(4):
+        params = {"p": config.primes.p(n) if n < len(config.primes) else None, "n": n}
         rows += [
-            ("intertwining", params, _intertwining),
-            ("transform-round-trip", params, _transform_round_trip),
-            ("pointwise-to-convolution", params, _pointwise_to_convolution),
-            ("projection-identities", params, _projection_identities),
-            ("projection-matches-transform", params, _projection_matches_transform),
+            ("intertwining", params, _intertwining, n + 1),
+            ("transform-round-trip", params, _transform_round_trip, n + 1),
+            ("pointwise-to-convolution", params, _pointwise_to_convolution, n + 1),
+            ("projection-identities", params, _projection_identities, n + 1),
+            ("projection-matches-transform", params, _projection_matches_transform, n + 1),
         ]
     return rows
 
@@ -457,41 +459,28 @@ def _violation_search(ctx: _Context, cutoff: int, n: int):
     return _verdict(moved and expected), {"witness": g.format()}
 
 
-def _unconfigured_block(ctx: _Context, n: int, **_):
-    return "skip", {"reason": f"needs at least {n + 1} primes"}
-
-
 def _xi_checks(config: SuiteConfig) -> list:
-    count = len(config.primes)
-    rows = [("identity-overlap", {"n": n}, _identity_overlap) for n in range(4)]
+    rows = [("identity-overlap", {"n": n}, _identity_overlap, n + 1) for n in range(4)]
     for cutoff in range(min(3, config.level + 1)):
         for n in (cutoff + 1, cutoff + 2):
             params = {"cutoff": cutoff, "n": n}
             rows += [
-                ("invariance-letters", params, _invariance_letters),
-                ("invariance-length-2", params, _invariance_length_2),
-                ("invariance-core-length-3", params, _invariance_core_length_3),
-                ("invariance-random-length-4", params, _invariance_random_length_4),
+                ("invariance-letters", params, _invariance_letters, n + 1),
+                ("invariance-length-2", params, _invariance_length_2, n + 1),
+                ("invariance-core-length-3", params, _invariance_core_length_3, n + 1),
+                ("invariance-random-length-4", params, _invariance_random_length_4, n + 1),
             ]
-    rows += [
-        ("violation-search", {"cutoff": cutoff, "n": n}, _violation_search)
+    return rows + [
+        ("violation-search", {"cutoff": cutoff, "n": n}, _violation_search, n + 1)
         for cutoff in range(1, min(4, config.level + 1))
         for n in (0, 1)
         if n <= cutoff
-    ]
-    # a row on an unconfigured block is recorded as a skip, and draws
-    # nothing from the sampler, so the rows that run report the same
-    return [
-        (check, params, fn if params["n"] < count else _unconfigured_block)
-        for check, params, fn in rows
     ]
 
 
 # ----------------------------------------------------------------------
 # disjoint: conjugates of lattice elements and the orthogonality inequality
 def _conjugate_escapes_lattice(ctx: _Context, cutoff: int):
-    if len(ctx.config.primes) < cutoff + 1:
-        return "skip", {"reason": f"needs at least {cutoff + 1} primes"}
     tower = ctx.tower
     g = tower.stable(cutoff + 1)
     target = ctx.config.samples or 1000
@@ -503,8 +492,6 @@ def _conjugate_escapes_lattice(ctx: _Context, cutoff: int):
 
 
 def _conjugate_fixes_high_blocks(ctx: _Context, cutoff: int):
-    if len(ctx.config.primes) < cutoff + 1:
-        return "skip", {"reason": f"needs at least {cutoff + 1} primes"}
     tower = ctx.tower
     g = tower.stable(cutoff + 1)
     target = ctx.config.samples or 1000
@@ -518,8 +505,6 @@ def _conjugate_fixes_high_blocks(ctx: _Context, cutoff: int):
 
 
 def _orthogonality_inequality(ctx: _Context, cutoff: int):
-    if len(ctx.config.primes) < cutoff + 2:
-        return "skip", {"reason": f"needs at least {cutoff + 2} primes"}
     target = (ctx.config.samples or 1000) // 2
     blocks = range(min(3, len(ctx.config.primes)))
     failures = 0
@@ -539,8 +524,6 @@ def _orthogonality_inequality(ctx: _Context, cutoff: int):
 
 
 def _expectation_projection(ctx: _Context, cutoff: int):
-    if len(ctx.config.primes) < cutoff + 2:
-        return "skip", {"reason": f"needs at least {cutoff + 2} primes"}
     e = ctx.tower.identity()
     blocks = range(min(3, len(ctx.config.primes)))
     failures = 0
@@ -560,14 +543,16 @@ def _expectation_projection(ctx: _Context, cutoff: int):
 def _disjoint_checks(config: SuiteConfig) -> list:
     rows = []
     for cutoff in (1, 2, 3):
+        params = {"cutoff": cutoff}
         rows += [
-            ("conjugate-escapes-lattice", {"cutoff": cutoff}, _conjugate_escapes_lattice),
-            ("conjugate-fixes-high-blocks", {"cutoff": cutoff}, _conjugate_fixes_high_blocks),
+            ("conjugate-escapes-lattice", params, _conjugate_escapes_lattice, cutoff + 1),
+            ("conjugate-fixes-high-blocks", params, _conjugate_fixes_high_blocks, cutoff + 1),
         ]
     for cutoff in (1, 2):
+        params = {"cutoff": cutoff}
         rows += [
-            ("orthogonality-inequality", {"cutoff": cutoff}, _orthogonality_inequality),
-            ("expectation-projection", {"cutoff": cutoff}, _expectation_projection),
+            ("orthogonality-inequality", params, _orthogonality_inequality, cutoff + 2),
+            ("expectation-projection", params, _expectation_projection, cutoff + 2),
         ]
     return rows
 
@@ -628,11 +613,11 @@ def _bound_checks(config: SuiteConfig) -> list:
     windows = sorted({(0, 0), (0, min(2, last)), (0, last), (min(1, last), last)})
     factors = min(2, last) + 1
     return [
-        ("truncated-trace-product", {"first": first, "last": wlast}, _truncated_trace_product)
+        ("truncated-trace-product", {"first": first, "last": wlast}, _truncated_trace_product, 1)
         for first, wlast in windows
     ] + [
-        ("deviation-extreme-points", {"factors": factors}, _deviation_extreme_points),
-        ("deviation-random-unit-ball", {"factors": factors}, _deviation_random_unit_ball),
+        ("deviation-extreme-points", {"factors": factors}, _deviation_extreme_points, 1),
+        ("deviation-random-unit-ball", {"factors": factors}, _deviation_random_unit_ball, 1),
     ]
 
 
@@ -650,18 +635,22 @@ _SUITES = {
 def _run_checks(suite: str, config: SuiteConfig) -> list[dict]:
     """Record each row's fn(context, **parameters) -> (outcome, extra), in order.
 
-    A skip carries its reason in extra as {"reason": ...}, and the size
-    guard maps to a skip.  Any other exception is recorded as the check's
-    failure, with an `error` field "<Type>: <message>" and the traceback
-    on stderr, so the suite runs its remaining checks.
+    A skip carries its reason in extra as {"reason": ...}.  A row that
+    needs more primes than are configured is a skip that calls nothing,
+    and the size guard maps to a skip.  Any other exception is recorded
+    as the check's failure, with an `error` field "<Type>: <message>" and
+    the traceback on stderr, so the suite runs its remaining checks.
     """
     tower = Tower(config.primes)
     context = _Context(config, tower, Sampler(tower, config.seed))
     checks = []
-    for check, parameters, fn in _SUITES[suite](config):
+    for check, parameters, fn, needs in _SUITES[suite](config):
         started = time.perf_counter()
         try:
-            outcome, extra = fn(context, **parameters)
+            if needs > len(config.primes):
+                outcome, extra = "skip", {"reason": f"needs at least {needs} primes"}
+            else:
+                outcome, extra = fn(context, **parameters)
         except SizeGuardExceeded as exc:
             outcome, extra = "skip", {"reason": str(exc)}
         except Exception as exc:

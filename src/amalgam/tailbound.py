@@ -127,9 +127,6 @@ class DeviationReport:
     bound_squared: Fraction
     mean: Fraction
 
-    def as_pair(self) -> tuple[float, float]:
-        return (self.lhs, self.bound)
-
 
 def deviation_bound_check(
     primes: PrimeSeq,

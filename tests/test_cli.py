@@ -128,6 +128,12 @@ def test_every_suite_runs_on_one_prime(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--primes", "2", "--samples", "20")
     assert code == 0, err
     assert out.splitlines()[-1].startswith("PASS:")
+    # every row that needs more primes is a skip that says how many
+    too_few = [line for line in out.splitlines() if line.startswith("[SKIP]") and "prime" in line]
+    for line in too_few:
+        k = re.fullmatch(r"\[SKIP\] \S+  \(needs at least (\d+) primes\)", line)
+        assert k and int(k.group(1)) > 1, line
+    assert bool(too_few) == (suite != "bound")
 
 
 def test_verify_bad_tolerance_exits_2(capsys):

@@ -338,6 +338,13 @@ def test_term_cache_stays_within_its_cap():
     assert not tower._term_cache
 
 
+def test_term_cache_keys_a_term_without_the_spaces_after_it():
+    tower = Tower(PRIMES)
+    parse_element(tower, "h(0;1,0,0) * t(1)")
+    parse_element(tower, "t(1) * h(0;1,0,0)")
+    assert len(tower._term_cache) == 2
+
+
 def test_term_cache_holds_no_word():
     tower = Tower(PRIMES)
     parse_element(tower, " * ".join(f"{a}^-2" for a in _ATOM_TEXTS))

@@ -45,13 +45,6 @@ def test_unconfigured_index_raises():
         seq.p(2)
 
 
-def test_extended_appends_fresh_primes():
-    seq = PrimeSeq.parse("5,2")
-    longer = seq.extended(4)
-    assert tuple(longer) == (5, 2, 7, 11, 13, 17)
-    assert len(set(longer)) == 6
-
-
 def test_tower_accepts_a_prime_list_string():
     assert tuple(Tower("2,3").primes) == (2, 3)
     assert tuple(Tower("7").primes) == (7,)

@@ -20,8 +20,6 @@ def test_kvector_zero_and_single():
     assert v.support == (1,)
     assert v.block(1) == (1, 2, 0)
     assert v.block(0) == (0, 0, 0)
-    assert v.min_index() == 1
-    assert ZERO_K.min_index() is None
 
 
 def test_kvector_single_reduces_mod_p():

@@ -12,6 +12,7 @@ import pytest
 from amalgam import suites
 from amalgam.grammar import parse_element
 from amalgam.primes import PrimeSeq
+from amalgam.sampling import Sampler
 from amalgam.suites import SUITE_NAMES, Report, SuiteConfig, run_all, run_suite
 from amalgam.words import Tower
 
@@ -45,13 +46,13 @@ def test_each_suite_passes_on_small_config(name):
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_declared_table_lists_the_reported_checks(name):
     # the table names every check and its parameters without running it
-    rows = [(check, params) for check, params, _ in suites._SUITES[name](SMALL)]
+    rows = [(check, params) for check, params, _, _ in suites._SUITES[name](SMALL)]
     assert rows == [(c["check"], c["parameters"]) for c in _small_report(name).checks]
 
 
 def test_growth_panel_texts_round_trip():
     tower = Tower(PrimeSeq.default())
-    for _, text in suites._GROWTH_PANEL:
+    for _, text, _ in suites._GROWTH_PANEL:
         assert parse_element(tower, text).format() == text
 
 
@@ -120,15 +121,15 @@ def test_word_suite_reports_match_golden_digest(name):
 
 # The same digests for one configured prime, recorded before the suites
 # became declared tables.  They cover the skip paths the SMALL config never
-# reaches: icc's two block-1 panel entries, xi's inconclusive probe, and
-# disjoint's and xi's rows that need more primes (their digests re-recorded
-# when those rows, once left out of the report, became skips).
+# reaches: xi's inconclusive probe and the rows that need more primes (the
+# digests re-recorded when those rows, once left out of the report or
+# skipped with a reason of their own, became skips of `_run_checks`).
 ONE_PRIME = SuiteConfig(primes=(2,), seed=1, samples=15)
 ONE_PRIME_DIGESTS = {
-    "icc": "803560d3210f5841f1a106ef4f86a6d43efce62c2195613afae1fe896fa55230",
+    "icc": "f6814e881080330472380af3298e1900613cf5c02a4e12aa09fe9b41a67509ba",
     "xi": "7143b19f6ce175fb9d49d58ef8c6b35aa1851ed9ee30015893023f86728f5278",
     "disjoint": "dc8a29e6a1df06fbd528afce5cb138e70a3769fe7c60d263b6086f52388f4be6",
-    "orbits": "7c47c077b603b347b9dc78f842c72aa713d42078b569d3c88cd9088ec665d89f",
+    "orbits": "a8669b4c1fcee0866c3e5e623686c5e6271d2d542c9dcd052667cedce8854ea6",
     "bound": "9021e5bfb3cb7c840456f141210c128161ea60f99cc21aae8b51016aaeca7dff",
 }
 
@@ -157,21 +158,6 @@ def test_one_prime_disjoint_report_records_a_skip_per_row():
     ]
 
 
-def test_disjoint_skips_draw_nothing_from_the_sampler(monkeypatch):
-    # at three primes the rows that run report the same without the skipped rows
-    three = SuiteConfig(primes=(2, 3, 5), seed=1, samples=15)
-    ran = [c for c in run_suite("disjoint", three).checks if c["outcome"] != "skip"]
-    kept = [(c["check"], c["parameters"]) for c in ran]
-    table = suites._disjoint_checks
-    monkeypatch.setitem(suites._SUITES, "disjoint",
-                        lambda config: [row for row in table(config) if row[:2] in kept])
-    alone = run_suite("disjoint", three).checks
-    assert len(ran) == 6 and len(alone) == 6
-    for c in ran + alone:
-        del c["elapsed_s"]
-    assert alone == ran
-
-
 def test_one_prime_xi_rows_that_run_match_the_report_without_skips():
     # the digest of the one-prime xi report from before its rows on
     # unconfigured blocks were recorded as skips
@@ -185,20 +171,77 @@ def test_one_prime_xi_rows_that_run_match_the_report_without_skips():
         "2882cd7975a9717b7158fafd8a918bcf204ab927644dc2468af50650f3acf4f4")
 
 
-def test_xi_skips_draw_nothing_from_the_sampler(monkeypatch):
-    # at three primes the rows that run report the same without the skipped rows
-    three = SuiteConfig(primes=(2, 3, 5), seed=1, samples=15)
-    ran = [c for c in run_suite("xi", three).checks
-           if not c.get("reason", "").startswith("needs at least")]
+def test_one_prime_icc_and_orbits_rows_that_run_match_the_reports_before_the_rule():
+    # the digests of the one-prime reports from before every table declared
+    # all its rows: orbits left its multi-prime rows out, and icc skipped its
+    # two block-1 panel entries with a reason of its own
+    before = {
+        "icc": "803560d3210f5841f1a106ef4f86a6d43efce62c2195613afae1fe896fa55230",
+        "orbits": "7c47c077b603b347b9dc78f842c72aa713d42078b569d3c88cd9088ec665d89f",
+    }
+    for name, digest in before.items():
+        checks = []
+        for c in run_suite(name, ONE_PRIME).checks:
+            if c.get("reason", "").startswith("needs at least"):
+                if name == "orbits":
+                    continue
+                c = {**c, "reason": "block 1 not configured: " + c["reason"]}
+            checks.append(c)
+        text = _stable(Report(name, ONE_PRIME, checks, 0).to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+_TOO_FEW = re.compile(r"needs at least (\d+) primes")
+
+
+@pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5), None],
+                         ids=["2", "2,3", "2,3,5", "default"])
+@pytest.mark.parametrize("name", ["icc", "orbits", "fourier", "xi", "disjoint"])
+def test_every_prime_count_lists_the_rows_of_the_default(name, primes):
+    # a row that needs more primes than are configured is a skip, whose
+    # parameters name no unconfigured prime; bound's windows follow the count
+    config = SuiteConfig(primes=primes or PrimeSeq.default(), seed=1, samples=15, radius=1)
+    default = [row[0] for row in suites._SUITES[name](SuiteConfig(radius=1))]
+    checks = run_suite(name, config).checks
+    assert [c["check"] for c in checks] == default
+    configured = set(config.primes)
+    for c in checks:
+        params = c["parameters"]
+        assert params.get("p") is None or params["p"] in configured
+        assert set(params.get("primes") or ()) <= configured
+        if "primes" in c.get("reason", ""):
+            m = _TOO_FEW.fullmatch(c["reason"])
+            assert m and int(m.group(1)) > len(config.primes), c["reason"]
+    rows = [(c["check"], json.dumps(c["parameters"], sort_keys=True)) for c in checks]
+    assert len(set(rows)) == len(rows)
+
+
+@pytest.mark.parametrize("name, primes, runs", [
+    ("xi", (2, 3, 5), 21), ("disjoint", (2, 3, 5), 6), ("fourier", (2, 3, 5), 15), ("orbits", (2,), 2),
+], ids=["xi", "disjoint", "fourier", "orbits"])
+def test_too_few_primes_skips_draw_nothing_from_the_sampler(monkeypatch, name, primes, runs):
+    # the rows that run report the same without the skipped rows, and the
+    # sampler's stream ends where it does without them
+    made = []
+
+    def sampler(*args):
+        made.append(Sampler(*args))
+        return made[-1]
+
+    monkeypatch.setattr(suites, "Sampler", sampler)
+    config = SuiteConfig(primes=primes, seed=1, samples=15)
+    ran = [c for c in run_suite(name, config).checks
+           if not _TOO_FEW.fullmatch(c.get("reason", ""))]
     kept = [(c["check"], c["parameters"]) for c in ran]
-    table = suites._xi_checks
-    monkeypatch.setitem(suites._SUITES, "xi",
+    table = suites._SUITES[name]
+    monkeypatch.setitem(suites._SUITES, name,
                         lambda config: [row for row in table(config) if row[:2] in kept])
-    alone = run_suite("xi", three).checks
-    assert len(ran) == 21 and len(alone) == 21
+    alone = run_suite(name, config).checks
+    assert len(ran) == runs and len(alone) == runs
     for c in ran + alone:
         del c["elapsed_s"]
     assert alone == ran
+    assert made[0].rng.getstate() == made[1].rng.getstate()
 
 
 def test_fourier_report_same_without_complex_block_path(monkeypatch):

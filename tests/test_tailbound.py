@@ -144,7 +144,7 @@ def test_sequence_input_matches_mapping_input():
     mapping = dict(zip(atom_points(3), seq))
     a = deviation_bound_check(PRIMES, 0, 2, seq)
     b = deviation_bound_check(PRIMES, 0, 2, mapping)
-    assert a.as_pair() == b.as_pair()
+    assert (a.lhs, a.bound) == (b.lhs, b.bound)
 
 
 def _per_atom_reference(primes, first, last, values) -> DeviationReport:
