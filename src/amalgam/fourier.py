@@ -8,10 +8,12 @@ forward direction sends a function to its coefficient family
     c(x) = p^{-3} sum_y f(y) conj(chi_x(y)),
 
 which is trace preserving (the coefficient at 0 is the mean of f) and
-turns pointwise products into convolutions.  The matrix action on the
-block intertwines the two sides up to an inverse transpose, which
-`check_intertwiner` measures numerically.  Both transforms index a table
-of the p roots of unity by <x,y> mod p.
+turns pointwise products into convolutions.  Both transforms gather a
+table of the p roots of unity through the pairing table <x,y> mod p.  The
+matrix action on the block intertwines the two sides up to an inverse
+transpose; since <x, g y> = <g^T x, y>, that is an identity of integer
+indices into the pairing table, which `check_intertwiner` compares as
+such, measuring a float defect only where the indices differ.
 
 `GroupAlgebraElement` is the one class for finitely supported
 combinations of words: the group algebra under convolution, and the
@@ -19,12 +21,17 @@ square-summable vectors of `witness` under the inner product.  Its `mul`
 convolves exact or complex operands on one block over lex point codes and
 all others in a pair loop over `Tower.mul`; the paths give the same
 coefficients, bit for bit in the complex case (see `_convolve_block`).
+
+The per-prime p^3 x p^3 tables (the pairing, and up to p = 11 the codes
+of point sums) are read-only, in the smallest unsigned dtype that holds
+their entries, built on first use and cached for at most `_TABLES` primes.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, sqrt
 from numbers import Rational
 from typing import Mapping
@@ -45,10 +52,35 @@ __all__ = [
 ]
 
 
+_TABLES = 8  # primes whose block tables stay cached
+_ROWS = 64  # left points per scatter in `_convolve_block`
+_SUM_ENTRIES = 1 << 22  # largest `_sum_codes` table, in entries: p <= 11
+
+
+def _table(values: np.ndarray, top: int) -> np.ndarray:
+    """`values` as a read-only array of the smallest unsigned dtype holding 0..top."""
+    table = values.astype(np.min_scalar_type(top), copy=False)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=_TABLES)
 def _pairing(p: int) -> np.ndarray:
     """<x, y> mod p over pairs of lex points, to index a table of p roots."""
     pts = point_array(p)
-    return (pts @ pts.T) % p
+    return _table((pts @ pts.T) % p, p - 1)
+
+
+@lru_cache(maxsize=_TABLES)
+def _sum_codes(p: int) -> np.ndarray:
+    """Code of x + y over pairs of lex points (x, y)."""
+    r = np.arange(p)
+    add = ((r[:, None] + r) % p).astype(np.min_scalar_type(p**3 - 1))
+    # coordinate k of x on axis k, coordinate k of y on axis k + 3
+    a = add[:, None, None, :, None, None]
+    b = add[None, :, None, None, :, None]
+    c = add[None, None, :, None, None, :]
+    return _table(((a * p + b) * p + c).reshape(p**3, p**3), p**3 - 1)
 
 
 def transform_matrix(p: int) -> np.ndarray:
@@ -215,45 +247,60 @@ def _single_block(tower: Tower, words) -> int | None:
 def _convolve_block(tower: Tower, n: int, left: list, right: list) -> dict | None:
     """Convolution of (word, coefficient) lists supported on block n, on codes.
 
-    Row i adds the i-th left point to the right operand's distinct points,
-    giving distinct codes, so one fancy-indexed add per row is exact and
-    each target sums its terms in the pair loop's order.  Integers sum in
-    int64 unless a partial sum could reach 2^63 (a code collects at most
-    min(|A|, |B|) products), else as Python ints.  Complex parts sum in
-    float64 through CPython's product (ar*br - ai*bi, ar*bi + ai*br); numpy's
-    complex multiply can differ in the last bit.  Sums start at -0.0, which
-    IEEE addition leaves unchanged, as the pair loop starts from its first
-    product, and keys come in order of first touch: the pair loop's result,
-    bit for bit.  None when p^3 exceeds the pairs, so the work bounds memory.
+    The products of up to `_ROWS` left points with every right point are
+    scattered at once by `np.add.at` onto the codes of the point sums, read
+    from the cached `_sum_codes` table up to p = 11 and computed beyond,
+    where the p^6 table would outweigh the work.  `np.add.at` adds in index
+    order, left row by left row, so each target sums its terms in the pair
+    loop's order.  Integers sum in int64 unless a partial sum could reach
+    2^63 (a code collects at most min(|A|, |B|) products), else as Python
+    ints in an object array.  Complex parts sum in float64 through
+    CPython's product (ar*br - ai*bi, ar*bi + ai*br); numpy's complex
+    multiply can differ in the last bit.  Sums start at -0.0, which IEEE
+    addition leaves unchanged, as the pair loop starts from its first
+    product (`np.bincount` would start at +0.0), and keys come in order of
+    first touch, the least pair position that `np.minimum.at` records per
+    code: the pair loop's result, bit for bit.  None when p^3 exceeds the
+    pairs, so the work bounds memory.
     """
     p = tower.primes.p(n)
-    if p**3 > len(left) * len(right):
+    pairs = len(left) * len(right)
+    if p**3 > pairs:
         return None
+    left_pts = np.array([w.g0.k.block(n) for w, _ in left], dtype=np.int64)
     right_pts = np.array([w.g0.k.block(n) for w, _ in right], dtype=np.int64)
+    sums = _sum_codes(p) if p**6 <= _SUM_ENTRIES else None
+    left_codes, right_codes = codes(left_pts, p), codes(right_pts, p)
     cplx = isinstance(left[0][1], complex)
     if cplx:
-        right_num = np.array([c for _, c in right])
-        br, bi = right_num.real, right_num.imag
+        a, b = np.array([c for _, c in left]), np.array([c for _, c in right])
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
         acc = np.full((2, p**3), -0.0)
     else:
         bound = max(abs(c) for _, c in left) * max(abs(c) for _, c in right)
         dtype = np.int64 if bound * min(len(left), len(right)) < 2**63 else object
-        right_num = np.array([c for _, c in right], dtype=dtype)
+        a = np.array([c for _, c in left], dtype=dtype)
+        b = np.array([c for _, c in right], dtype=dtype)
         acc = np.zeros((1, p**3), dtype=dtype)
-    touched, order = np.zeros(p**3, dtype=bool), []
-    for w, a in left:
-        idx = codes((right_pts + w.g0.k.block(n)) % p, p)
-        if cplx:
-            acc[0, idx] += a.real * br - a.imag * bi
-            acc[1, idx] += a.real * bi + a.imag * br
+    first = np.full(p**3, pairs)
+    for start in range(0, len(left), _ROWS):
+        rows = slice(start, start + _ROWS)
+        if sums is None:
+            idx = codes((left_pts[rows, None] + right_pts) % p, p).ravel()
         else:
-            acc[0, idx] += a * right_num
-        order.append(idx[~touched[idx]])
-        touched[idx] = True
-    keys = np.concatenate(order).tolist()
-    sums = zip(*acc[:, keys].tolist())
+            idx = sums[left_codes[rows]][:, right_codes].ravel()
+        if cplx:
+            real = np.multiply.outer(ar[rows], br) - np.multiply.outer(ai[rows], bi)
+            imag = np.multiply.outer(ar[rows], bi) + np.multiply.outer(ai[rows], br)
+            np.add.at(acc[0], idx, real.ravel())
+            np.add.at(acc[1], idx, imag.ravel())
+        else:
+            np.add.at(acc[0], idx, np.multiply.outer(a[rows], b).ravel())
+        np.minimum.at(first, idx, np.arange(start * len(right), start * len(right) + idx.size))
+    keys = np.argsort(first)[: np.count_nonzero(first < pairs)].tolist()
+    values = zip(*acc[:, keys].tolist())
     words = tower.block(n)
-    return {words[k]: complex(*z) if cplx else z[0] for k, z in zip(keys, sums)}
+    return {words[k]: complex(*z) if cplx else z[0] for k, z in zip(keys, values)}
 
 
 def fourier(tower: Tower, n: int, f) -> GroupAlgebraElement:
@@ -281,21 +328,27 @@ def check_intertwiner(tower: Tower, g: LambdaMatrix, n: int) -> float:
 
     Acting on functions by x -> g^{-1} x and then transforming must agree
     with transforming first and relabelling u_x -> u_{h x} for h the
-    inverse transpose of g.  Returns the largest 2-norm defect over the
-    delta-function basis; exactness of the identity shows up as a value
-    at rounding level.
+    inverse transpose of g.  Column y of the first side is the transform
+    of the delta at g y, F[:, g y]; row x of the second is the row of F
+    at g^T x.  Both gather one table of roots through the pairing table,
+    so the identity <x, g y> = <g^T x, y> mod p is compared on the
+    integer pairing.  The 2-norm defect is computed in F's 64-column
+    slices, which give the bits of the dense defect, and only in the
+    slices where some index differs.  Returns the largest defect over
+    the delta-function basis: 0.0 when every index agrees.
     """
     p = tower.primes.p(n)
-    F = transform_matrix(p)
-    # columns of LHS: transform of the delta at g y, i.e. F with columns
-    # pulled back along y -> g y; rows of RHS: relabel u_x -> u_{h x} with
-    # h = inverse transpose of g, so row j is the row at g^T point_j
+    P = _pairing(p)
     cols, rows = image_table(p, g), image_table(p, g.transpose())
+    differs = (P[:, cols] != P[rows, :]).any(axis=0)
     worst = 0.0
-    for start in range(0, p**3, 64):  # column slices keep p^3 x p^3 temporaries off the peak
-        part = slice(start, start + 64)
-        defect = F[:, cols[part]] - F[rows, part]
-        worst = max(worst, float(np.linalg.norm(defect, axis=0).max()))
+    if differs.any():
+        F = transform_matrix(p)
+        for start in range(0, p**3, 64):  # column slices keep p^3 x p^3 temporaries off the peak
+            part = slice(start, start + 64)
+            if differs[part].any():
+                defect = F[:, cols[part]] - F[rows, part]
+                worst = max(worst, float(np.linalg.norm(defect, axis=0).max()))
     return worst
 
 

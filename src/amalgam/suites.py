@@ -222,7 +222,7 @@ def _conjugate_growth(ctx: _Context, element: str, region: str):
     # `region` only labels the record
     g = parse_element(ctx.tower, element)
     radius = ctx.config.radius
-    profile = ctx.tower.conjugate_growth_profile(g, radius)
+    profile = ctx.tower.conjugate_growth_profile(g, radius, ctx.config.size_guard)
     monotone = all(a <= b for a, b in zip(profile, profile[1:]))
     rich = profile[3] >= 5 if radius >= 3 else True
     return _verdict(monotone and rich), {"profile": list(profile)}

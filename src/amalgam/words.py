@@ -68,6 +68,7 @@ from .matrices import (
     LambdaMatrix,
     _ID_ROWS,
 )
+from .orbits import DEFAULT_SIZE_GUARD, SizeGuardExceeded
 from .primes import PrimeSeq
 from .semidirect import G0Element, KVector, ZERO_K, _g0, _kvec, block_points
 from . import primes as _primes_mod
@@ -475,13 +476,18 @@ class Tower:
             self._alphabet_cache[key] = tuple(letters)
         return self._alphabet_cache[key]
 
-    def conjugate_growth_profile(self, g: GroupWord, radius: int) -> tuple[int, ...]:
+    def conjugate_growth_profile(
+        self, g: GroupWord, radius: int, size_guard: int = DEFAULT_SIZE_GUARD
+    ) -> tuple[int, ...]:
         """Distinct conjugate counts at radii 0..radius.
 
         Conjugators run over matrix-generator balls when g is outside the
         coordinate subgroup, and over word-metric balls one level above g
         otherwise (where matrix conjugation alone would be too coarse a
-        reading of the ambient group).
+        reading of the ambient group).  Before each radius is expanded,
+        the conjugates seen plus one per frontier word and letter bound
+        what it can hold; `SizeGuardExceeded` is raised when that bound
+        passes `size_guard`, so a profile that saturates runs to any radius.
         """
         if g.is_identity:
             raise ValueError("conjugate growth of the identity is not defined")
@@ -494,7 +500,12 @@ class Tower:
         frontier = [self.key(g)]
         seen = set(frontier)
         counts = [1]
-        for _ in range(radius):
+        for r in range(1, radius + 1):
+            reach = len(seen) + len(frontier) * len(letters)
+            if reach > size_guard:
+                raise SizeGuardExceeded(
+                    f"conjugates to radius {r} may number {reach}, above the guard of {size_guard}"
+                )
             nxt: list[GroupWord] = []
             for c in frontier:
                 for ltr in letters:

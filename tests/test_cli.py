@@ -10,6 +10,7 @@ from amalgam import suites
 from amalgam.cli import main
 from amalgam.suites import SUITE_NAMES
 from amalgam.words import Tower
+from timelimit import time_limit
 
 _ELAPSED = re.compile(r'"elapsed_s": [0-9.e+-]+')
 
@@ -174,6 +175,30 @@ def test_verify_all_writes_one_file_per_suite(capsys, tmp_path):
     names = sorted(p.name for p in out_dir.glob("*.json"))
     assert names == ["bound.json", "disjoint.json", "fourier.json", "icc.json", "orbits.json", "xi.json"]
     assert out.splitlines()[-1].startswith("PASS:")
+
+
+def test_large_growth_radius_skips_the_rows_past_the_size_guard(capsys, tmp_path):
+    # a short input may not ask for hours: each conjugate-growth row that
+    # would pass the guard is a skip, and the saturating lattice rows pass
+    out_file = tmp_path / "icc.json"
+    with time_limit(30.0):
+        code, out, _ = run(
+            capsys, "verify", "icc", "--radius", "40", "--size-guard", "10000",
+            "--out", str(out_file),
+        )
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS: 6 passed, 0 failed, 9 skipped"
+    growth = [c for c in json.loads(out_file.read_text())["checks"]
+              if c["check"] == "conjugate-growth"]
+    assert len(growth) == len(suites._GROWTH_PANEL)
+    for c in growth:
+        if c["parameters"]["region"] == "lattice":
+            assert c["outcome"] == "pass" and len(c["profile"]) == 41
+            assert c["profile"][-1] == c["profile"][-2]
+        else:
+            assert c["outcome"] == "skip"
+            assert re.fullmatch(r"conjugates to radius \d+ may number \d+, "
+                                r"above the guard of 10000", c["reason"])
 
 
 def test_verify_reports_deterministic(capsys, tmp_path):

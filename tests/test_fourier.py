@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +21,12 @@ from amalgam.fourier import (
     projection_en,
     transform_matrix,
 )
-from amalgam.matrices import ELEMENTARY_GENERATORS, elementary
+from amalgam.matrices import ELEMENTARY_GENERATORS, LambdaMatrix, elementary
 from amalgam.primes import PrimeSeq
 from amalgam.semidirect import G0Element, KVector, block_points, codes, image_table, point_array
 from amalgam.words import Tower
 
+ROOT = Path(__file__).resolve().parents[1]
 PRIMES = PrimeSeq.parse("2,3,5")
 TOL = 1e-9
 
@@ -61,6 +66,42 @@ def test_transform_tables_match_direct_formula():
         el = GroupAlgebraElement(tower, dict(zip(tower.block(n), coeff.tolist())))
         characters = np.exp(2j * np.pi * pairing / p)
         assert inverse_fourier(el, n).tobytes() == (characters.T @ coeff).tobytes()
+
+
+def test_block_tables_are_read_only_bounded_and_small():
+    fourier_module = importlib.import_module("amalgam.fourier")
+    for cached in (fourier_module._pairing, fourier_module._sum_codes):
+        assert cached.cache_info().maxsize == fourier_module._TABLES <= 8
+    for p in (2, 3, 5, 7):
+        pts = point_array(p)
+        pairing, sums = fourier_module._pairing(p), fourier_module._sum_codes(p)
+        assert pairing is fourier_module._pairing(p)
+        assert np.array_equal(pairing, (pts @ pts.T) % p)
+        assert np.array_equal(sums, codes((pts[:, None] + pts) % p, p))
+        assert pairing.dtype == np.uint8 and sums.dtype == (np.uint8 if p < 7 else np.uint16)
+        for table in (pairing, sums):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1
+
+
+def test_importing_the_package_builds_no_block_table():
+    # verify's setup time includes the import, so the tables wait for first use
+    probe = ("import importlib, amalgam; f = importlib.import_module('amalgam.fourier'); "
+             "print(f._pairing.cache_info().currsize, f._sum_codes.cache_info().currsize)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0"]
+
+
+def test_transform_matrix_is_a_fresh_array():
+    # the pairing is cached, the matrix gathered from it is not
+    first = transform_matrix(3)
+    expected = first.copy()
+    first[:] = 0
+    assert transform_matrix(3).tobytes() == expected.tobytes()
 
 
 def test_round_trip_all_blocks(tw: Tower):
@@ -144,15 +185,17 @@ def test_intertwiner_slices_match_dense_defect(tw: Tower, monkeypatch):
             assert got == float(np.linalg.norm(dense, axis=0).max()) > 1e-2
 
 
-def test_intertwiner_rejects_wrong_relabel(tw: Tower):
-    # The relabel must use the inverse transpose; a plain transpose pairs
-    # wrongly and the deviation is macroscopic, not rounding-sized.
-    g = elementary(0, 1, 1)
-    p = PRIMES.p(1)
-    F = transform_matrix(p)
-    lhs = F[:, image_table(p, g)]
-    wrong = F[image_table(p, g.inverse()), :]  # relabel by g^-1 instead of g^T
-    assert float(np.linalg.norm(lhs - wrong, axis=0).max()) > 1e-2
+def test_intertwiner_rejects_wrong_relabel(tw: Tower, monkeypatch):
+    # The relabel must use the inverse transpose; with g^T swapped for g^-1
+    # the integer pairing differs, and the defect is macroscopic, not
+    # rounding-sized, and equal to the dense defect of that relabel.
+    monkeypatch.setattr(LambdaMatrix, "transpose", LambdaMatrix.inverse)
+    for n in range(3):
+        p = PRIMES.p(n)
+        F = transform_matrix(p)
+        for g in ELEMENTARY_GENERATORS:
+            wrong = F[:, image_table(p, g)] - F[image_table(p, g.inverse()), :]
+            assert check_intertwiner(tw, g, n) == float(np.linalg.norm(wrong, axis=0).max()) > 1e-2
 
 
 def test_action_permutation_is_permutation():
@@ -428,6 +471,25 @@ def test_complex_convolution_matches_pair_loop_bitwise(tw7: Tower, n: int, seed:
         assert _bits(product.coeffs) == _bits(_reference_product(a, b))
         pairs = a.support_size * b.support_size
         assert len(calls) == (0 if pairs >= p**3 else pairs)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_block_convolution_without_the_sum_table_matches_pair_loop(tw7: Tower, n: int, monkeypatch):
+    # beyond p = 11 the codes of point sums are computed, not read from a table
+    monkeypatch.setattr(importlib.import_module("amalgam.fourier"), "_SUM_ENTRIES", 0)
+    rng = random.Random(7000 + n)
+    p = BLOCK_PRIMES.p(n)
+    full = p**3 if p < 7 else 60  # a full p=7 reference makes 118k Tower.mul calls
+    for size_a, size_b in ((full, full), (p**3, 1), (1, p**3)):
+        a = _random_complex_element(rng, tw7, n, size_a)
+        b = _random_complex_element(rng, tw7, n, size_b)
+        c = _random_block_element(rng, tw7, n, size_a, 2**40)
+        d = _random_block_element(rng, tw7, n, size_b, 2**40)
+        with _counted_tower_mul(tw7) as calls:
+            products = a.mul(b), c.mul(d)
+        assert not calls
+        assert _bits(products[0].coeffs) == _bits(_reference_product(a, b))
+        assert products[1].coeffs == _reference_product(c, d)
 
 
 def test_complex_convolution_keeps_negative_zero(tw7: Tower):

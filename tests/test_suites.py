@@ -6,13 +6,18 @@ import importlib
 import json
 import re
 from functools import lru_cache
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from amalgam import suites
+from amalgam.fourier import transform_matrix
 from amalgam.grammar import parse_element
+from amalgam.matrices import ELEMENTARY_GENERATORS, LambdaMatrix
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
+from amalgam.semidirect import image_table
 from amalgam.suites import SUITE_NAMES, Report, SuiteConfig, run_all, run_suite
 from amalgam.words import Tower
 
@@ -30,8 +35,22 @@ def _stable(text: str) -> str:
 
 
 @lru_cache(maxsize=None)
+def _small_run(name: str) -> tuple[Report, str]:
+    """The SMALL report of one suite, and the sha256 of its sampler's final state."""
+    made = []
+
+    def sampler(*args):
+        made.append(Sampler(*args))
+        return made[-1]
+
+    with mock.patch.object(suites, "Sampler", sampler):
+        report = run_suite(name, SMALL)
+    (only,) = made
+    return report, hashlib.sha256(repr(only.rng.getstate()).encode()).hexdigest()
+
+
 def _small_report(name: str) -> Report:
-    return run_suite(name, SMALL)
+    return _small_run(name)[0]
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -117,6 +136,26 @@ GOLDEN_DIGESTS = {
 def test_word_suite_reports_match_golden_digest(name):
     text = _stable(_small_report(name).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+# sha256 of the repr of each suite's `Sampler.rng.getstate()` after its
+# SMALL run.  The reports record counts, not draws, so a change that draws
+# a different number of values (one more uniform in fourier's
+# `_random_function`, say) can leave every report byte-identical; this
+# table catches it.
+SAMPLER_STREAM_DIGESTS = {
+    "icc": "399399b3157b39cfd67fc2942920b4f7a7ba15a87e3c6db44cf6d4fbf486537c",
+    "orbits": "1ff13511b14f0c2d85f17bca527d63dfa1a8333f22f76f1aa0904d72377ea531",
+    "fourier": "ae347182081f0a96b8e41f69a32b6bdd431a6c09171bc2adc5c223ee3f4da01e",
+    "xi": "7b767bd0429d0559875f667383c0de82f4806127934791c29a71941a9b4fd7b9",
+    "disjoint": "0250ad97d704c790f7fd7ad2f8a47b363f36abac94ac4184e586ae1b5f1dfca6",
+    "bound": "a97f367603301c3bde0bf27f7b92e46a86f8c5dcc9a110a357af3eb78335c1ea",
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_small_runs_end_the_sampler_stream_where_frozen(name):
+    assert _small_run(name)[1] == SAMPLER_STREAM_DIGESTS[name]
 
 
 # The same digests for one configured prime, recorded before the suites
@@ -262,6 +301,43 @@ def test_fourier_report_same_without_complex_block_path(monkeypatch):
     assert sorted(set(calls)) == [0, 1, 2, 3]  # every block's product was declined
     monkeypatch.undo()
     assert _stable(without) == _stable(_small_report("fourier").to_json())
+
+
+def _dense_intertwiner(tower, g, n):
+    """`check_intertwiner` before it compared the integer pairing: the float
+    defect of every 64-column slice of the dense transform matrix."""
+    p = tower.primes.p(n)
+    F = transform_matrix(p)
+    cols, rows = image_table(p, g), image_table(p, g.transpose())
+    worst = 0.0
+    for start in range(0, p**3, 64):
+        part = slice(start, start + 64)
+        defect = F[:, cols[part]] - F[rows, part]
+        worst = max(worst, float(np.linalg.norm(defect, axis=0).max()))
+    return worst
+
+
+def test_fourier_report_same_with_the_dense_intertwiner(monkeypatch):
+    # like the complex block path above, pinned within one run: the report
+    # is unchanged with the float check over every column put back
+    monkeypatch.setattr(suites, "check_intertwiner", _dense_intertwiner)
+    dense = run_suite("fourier", SMALL).to_json()
+    monkeypatch.undo()
+    assert _stable(dense) == _stable(_small_report("fourier").to_json())
+
+
+def test_wrong_relabel_fails_the_intertwining_rows(monkeypatch):
+    # relabelling by g^-1 where g^T belongs must fail every intertwining
+    # row, with the size of the dense defect
+    monkeypatch.setattr(LambdaMatrix, "transpose", LambdaMatrix.inverse)
+    rows = [c for c in run_suite("fourier", SMALL).checks if c["check"] == "intertwining"]
+    assert [c["parameters"]["p"] for c in rows] == [2, 3, 5, 7]
+    tower = Tower(SMALL.primes)
+    for c in rows:
+        n = c["parameters"]["n"]
+        dense = max(_dense_intertwiner(tower, g, n) for g in ELEMENTARY_GENERATORS)
+        assert c["outcome"] == "fail"
+        assert c["max_deviation"] == dense > 1e-2
 
 
 def test_seed_changes_sampled_payloads():

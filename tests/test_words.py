@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from amalgam.grammar import parse_element
 from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, LambdaMatrix, generator_ball
+from amalgam.orbits import SizeGuardExceeded
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
 from amalgam.semidirect import G0Element, KVector, block_points
@@ -198,6 +199,21 @@ def test_conjugate_growth_profiles(tw: Tower):
     for name, expected in GROWTH_CASES:
         profile = tw.conjugate_growth_profile(cases[name], 3)
         assert profile == expected, name
+
+
+def test_conjugate_growth_guard_bounds_each_radius(tw: Tower):
+    # the guard counts the conjugates seen plus one per frontier word and
+    # letter before each radius; a profile that saturates runs to any radius
+    lattice = tw.h(0, (1, 0, 0))
+    with time_limit(10.0):
+        assert tw.conjugate_growth_profile(lattice, 40, size_guard=1000) == (1, 3, 6) + (7,) * 38
+        growing = tw.mul(tw.stable(2), tw.stable(1))
+        with pytest.raises(SizeGuardExceeded, match=r"radius 4 may number 10027, above the guard of 10000"):
+            tw.conjugate_growth_profile(growing, 40, size_guard=10000)
+    assert tw.conjugate_growth_profile(growing, 3, size_guard=10000) == (1, 13, 121, 883)
+    with pytest.raises(SizeGuardExceeded, match="radius 1 may number 13, above the guard of 12"):
+        tw.conjugate_growth_profile(growing, 1, size_guard=12)
+    assert tw.conjugate_growth_profile(growing, 1, size_guard=13) == (1, 13)
 
 
 def test_conjugate_growth_monotone_everywhere(tw: Tower):
