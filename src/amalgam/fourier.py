@@ -22,9 +22,9 @@ convolves exact or complex operands on one block over lex point codes and
 all others in a pair loop over `Tower.mul`; the paths give the same
 coefficients, bit for bit in the complex case (see `_convolve_block`).
 
-The per-prime p^3 x p^3 tables (the pairing, and up to p = 11 the codes
-of point sums) are read-only, in the smallest unsigned dtype that holds
-their entries, built on first use and cached for at most `_TABLES` primes.
+The pairing is a read-only p^3 x p^3 table in the smallest unsigned dtype
+that holds p - 1, built on first use and cached for at most `_TABLES`
+primes while p^6 <= `_CACHED_ENTRIES`; larger ones are built per call.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from .matrices import LambdaMatrix
-from .semidirect import block_points, codes, image_table, point_array
+from .semidirect import block_points, image_table, point_array
 from .words import GroupWord, Tower
 
 __all__ = [
@@ -52,35 +52,24 @@ __all__ = [
 ]
 
 
-_TABLES = 8  # primes whose block tables stay cached
+_TABLES = 8  # primes whose pairing table stays cached
+_CACHED_ENTRIES = 1 << 22  # largest cached pairing, in entries: p <= 11
 _ROWS = 64  # left points per scatter in `_convolve_block`
-_SUM_ENTRIES = 1 << 22  # largest `_sum_codes` table, in entries: p <= 11
 
 
-def _table(values: np.ndarray, top: int) -> np.ndarray:
-    """`values` as a read-only array of the smallest unsigned dtype holding 0..top."""
-    table = values.astype(np.min_scalar_type(top), copy=False)
+def _build_pairing(p: int) -> np.ndarray:
+    pts = point_array(p)
+    table = ((pts @ pts.T) % p).astype(np.min_scalar_type(p - 1))
     table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=_TABLES)
+_cached_pairing = lru_cache(maxsize=_TABLES)(_build_pairing)
+
+
 def _pairing(p: int) -> np.ndarray:
     """<x, y> mod p over pairs of lex points, to index a table of p roots."""
-    pts = point_array(p)
-    return _table((pts @ pts.T) % p, p - 1)
-
-
-@lru_cache(maxsize=_TABLES)
-def _sum_codes(p: int) -> np.ndarray:
-    """Code of x + y over pairs of lex points (x, y)."""
-    r = np.arange(p)
-    add = ((r[:, None] + r) % p).astype(np.min_scalar_type(p**3 - 1))
-    # coordinate k of x on axis k, coordinate k of y on axis k + 3
-    a = add[:, None, None, :, None, None]
-    b = add[None, :, None, None, :, None]
-    c = add[None, None, :, None, None, :]
-    return _table(((a * p + b) * p + c).reshape(p**3, p**3), p**3 - 1)
+    return (_cached_pairing if p**6 <= _CACHED_ENTRIES else _build_pairing)(p)
 
 
 def transform_matrix(p: int) -> np.ndarray:
@@ -248,29 +237,29 @@ def _convolve_block(tower: Tower, n: int, left: list, right: list) -> dict | Non
     """Convolution of (word, coefficient) lists supported on block n, on codes.
 
     The products of up to `_ROWS` left points with every right point are
-    scattered at once by `np.add.at` onto the codes of the point sums, read
-    from the cached `_sum_codes` table up to p = 11 and computed beyond,
-    where the p^6 table would outweigh the work.  `np.add.at` adds in index
-    order, left row by left row, so each target sums its terms in the pair
-    loop's order.  Integers sum in int64 unless a partial sum could reach
-    2^63 (a code collects at most min(|A|, |B|) products), else as Python
-    ints in an object array.  Complex parts sum in float64 through
-    CPython's product (ar*br - ai*bi, ar*bi + ai*br); numpy's complex
-    multiply can differ in the last bit.  Sums start at -0.0, which IEEE
-    addition leaves unchanged, as the pair loop starts from its first
-    product (`np.bincount` would start at +0.0), and keys come in order of
-    first touch, the least pair position that `np.minimum.at` records per
-    code: the pair loop's result, bit for bit.  None when p^3 exceeds the
-    pairs, so the work bounds memory.
+    scattered at once by `np.add.at` onto the codes of the point sums,
+    computed per chunk in the smallest unsigned dtype holding p^3 - 1.
+    `np.add.at` adds in index order, left row by left row, so each target
+    sums its terms in the pair loop's order.  Integers sum in int64 unless
+    a partial sum could reach 2^63 (a code collects at most min(|A|, |B|)
+    products), else as Python ints in an object array.  Complex parts sum
+    in float64 through CPython's product (ar*br - ai*bi, ar*bi + ai*br);
+    numpy's complex multiply can differ in the last bit.  Sums start at
+    -0.0, which IEEE addition leaves unchanged, as the pair loop starts
+    from its first product (`np.bincount` would start at +0.0), and keys
+    come in order of first touch, the least pair position that
+    `np.minimum.at` records per code: the pair loop's result, bit for bit.
+    None when p^3 exceeds the pairs, so the work bounds memory.
     """
     p = tower.primes.p(n)
     pairs = len(left) * len(right)
     if p**3 > pairs:
         return None
-    left_pts = np.array([w.g0.k.block(n) for w, _ in left], dtype=np.int64)
-    right_pts = np.array([w.g0.k.block(n) for w, _ in right], dtype=np.int64)
-    sums = _sum_codes(p) if p**6 <= _SUM_ENTRIES else None
-    left_codes, right_codes = codes(left_pts, p), codes(right_pts, p)
+    # coordinate rows, unsigned: s - p wraps above s unless s >= p, so
+    # min(s, s - p) is s mod p for the sums s < 2p of two coordinates
+    coord = np.min_scalar_type(p**3 - 1)
+    left_pts = np.array([w.g0.k.block(n) for w, _ in left], dtype=coord).T.copy()
+    right_pts = np.array([w.g0.k.block(n) for w, _ in right], dtype=coord).T.copy()
     cplx = isinstance(left[0][1], complex)
     if cplx:
         a, b = np.array([c for _, c in left]), np.array([c for _, c in right])
@@ -285,10 +274,9 @@ def _convolve_block(tower: Tower, n: int, left: list, right: list) -> dict | Non
     first = np.full(p**3, pairs)
     for start in range(0, len(left), _ROWS):
         rows = slice(start, start + _ROWS)
-        if sums is None:
-            idx = codes((left_pts[rows, None] + right_pts) % p, p).ravel()
-        else:
-            idx = sums[left_codes[rows]][:, right_codes].ravel()
+        s = left_pts[:, rows, None] + right_pts[:, None]
+        s = np.minimum(s, s - p)
+        idx = ((s[0] * p + s[1]) * p + s[2]).ravel()
         if cplx:
             real = np.multiply.outer(ar[rows], br) - np.multiply.outer(ai[rows], bi)
             imag = np.multiply.outer(ar[rows], bi) + np.multiply.outer(ai[rows], br)
@@ -332,23 +320,21 @@ def check_intertwiner(tower: Tower, g: LambdaMatrix, n: int) -> float:
     of the delta at g y, F[:, g y]; row x of the second is the row of F
     at g^T x.  Both gather one table of roots through the pairing table,
     so the identity <x, g y> = <g^T x, y> mod p is compared on the
-    integer pairing.  The 2-norm defect is computed in F's 64-column
-    slices, which give the bits of the dense defect, and only in the
-    slices where some index differs.  Returns the largest defect over
-    the delta-function basis: 0.0 when every index agrees.
+    integer pairing.  Only when some index differs is F built and the
+    2-norm defect computed, in 64-column slices that give the bits of the
+    dense defect.  Returns the largest defect over the delta-function
+    basis: 0.0 when every index agrees.
     """
     p = tower.primes.p(n)
     P = _pairing(p)
     cols, rows = image_table(p, g), image_table(p, g.transpose())
-    differs = (P[:, cols] != P[rows, :]).any(axis=0)
     worst = 0.0
-    if differs.any():
+    if np.any(P[:, cols] != P[rows, :]):
         F = transform_matrix(p)
         for start in range(0, p**3, 64):  # column slices keep p^3 x p^3 temporaries off the peak
             part = slice(start, start + 64)
-            if differs[part].any():
-                defect = F[:, cols[part]] - F[rows, part]
-                worst = max(worst, float(np.linalg.norm(defect, axis=0).max()))
+            defect = F[:, cols[part]] - F[rows, part]
+            worst = max(worst, float(np.linalg.norm(defect, axis=0).max()))
     return worst
 
 

@@ -68,32 +68,36 @@ def test_transform_tables_match_direct_formula():
         assert inverse_fourier(el, n).tobytes() == (characters.T @ coeff).tobytes()
 
 
-def test_block_tables_are_read_only_bounded_and_small():
+def test_pairing_table_is_read_only_bounded_and_small(monkeypatch):
     fourier_module = importlib.import_module("amalgam.fourier")
-    for cached in (fourier_module._pairing, fourier_module._sum_codes):
-        assert cached.cache_info().maxsize == fourier_module._TABLES <= 8
+    assert fourier_module._cached_pairing.cache_info().maxsize == fourier_module._TABLES <= 8
     for p in (2, 3, 5, 7):
         pts = point_array(p)
-        pairing, sums = fourier_module._pairing(p), fourier_module._sum_codes(p)
+        pairing = fourier_module._pairing(p)
         assert pairing is fourier_module._pairing(p)
         assert np.array_equal(pairing, (pts @ pts.T) % p)
-        assert np.array_equal(sums, codes((pts[:, None] + pts) % p, p))
-        assert pairing.dtype == np.uint8 and sums.dtype == (np.uint8 if p < 7 else np.uint16)
-        for table in (pairing, sums):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 1
+        assert pairing.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            pairing[0, 0] = 1
+    # a table above the entry bound is built per call and not kept
+    fourier_module._cached_pairing.cache_clear()
+    monkeypatch.setattr(fourier_module, "_CACHED_ENTRIES", 3**6 - 1)
+    assert fourier_module._pairing(2) is fourier_module._pairing(2)
+    big = fourier_module._pairing(3)
+    assert big is not fourier_module._pairing(3) and not big.flags.writeable
+    assert fourier_module._cached_pairing.cache_info().currsize == 1
 
 
 def test_importing_the_package_builds_no_block_table():
-    # verify's setup time includes the import, so the tables wait for first use
+    # verify's setup time includes the import, so the pairing waits for first use
     probe = ("import importlib, amalgam; f = importlib.import_module('amalgam.fourier'); "
-             "print(f._pairing.cache_info().currsize, f._sum_codes.cache_info().currsize)")
+             "print(f._cached_pairing.cache_info().currsize)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "0"]
+    assert result.stdout.split() == ["0"]
 
 
 def test_transform_matrix_is_a_fresh_array():
@@ -471,25 +475,6 @@ def test_complex_convolution_matches_pair_loop_bitwise(tw7: Tower, n: int, seed:
         assert _bits(product.coeffs) == _bits(_reference_product(a, b))
         pairs = a.support_size * b.support_size
         assert len(calls) == (0 if pairs >= p**3 else pairs)
-
-
-@pytest.mark.parametrize("n", range(4))
-def test_block_convolution_without_the_sum_table_matches_pair_loop(tw7: Tower, n: int, monkeypatch):
-    # beyond p = 11 the codes of point sums are computed, not read from a table
-    monkeypatch.setattr(importlib.import_module("amalgam.fourier"), "_SUM_ENTRIES", 0)
-    rng = random.Random(7000 + n)
-    p = BLOCK_PRIMES.p(n)
-    full = p**3 if p < 7 else 60  # a full p=7 reference makes 118k Tower.mul calls
-    for size_a, size_b in ((full, full), (p**3, 1), (1, p**3)):
-        a = _random_complex_element(rng, tw7, n, size_a)
-        b = _random_complex_element(rng, tw7, n, size_b)
-        c = _random_block_element(rng, tw7, n, size_a, 2**40)
-        d = _random_block_element(rng, tw7, n, size_b, 2**40)
-        with _counted_tower_mul(tw7) as calls:
-            products = a.mul(b), c.mul(d)
-        assert not calls
-        assert _bits(products[0].coeffs) == _bits(_reference_product(a, b))
-        assert products[1].coeffs == _reference_product(c, d)
 
 
 def test_complex_convolution_keeps_negative_zero(tw7: Tower):
