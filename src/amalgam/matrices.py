@@ -6,10 +6,23 @@ matrices through it.  Products, inverses and transposes of such matrices
 have determinant 1 because the determinant is multiplicative (and
 invariant under transposition), so they are built by the private
 `_trusted` constructor without re-checking.
+
+This module also holds what the value classes of the package
+(`LambdaMatrix` here, `KVector` and `G0Element` in `semidirect`,
+`GroupWord` in `words`) share.  Each is a `__slots__` class on
+`_Immutable`, whose `__setattr__`/`__delattr__` raise AttributeError, and
+writes `__eq__`, `__hash__` and `__repr__` by hand as the frozen dataclass
+it replaces generated them, so hashes, and with them every dict and set
+order, are those of the dataclass.  Its one trusted constructor builds an
+instance of the private `_unguarded` twin of the class, stores each slot
+plainly, and then makes the object an instance of the public class, so no
+twin escapes.  The public constructor checks what it is given, if
+anything, and calls the trusted one, and `__reduce__` rebuilds through
+it, which keeps `pickle`, `copy` and `deepcopy` working (a word is
+rebuilt blank and then given its fields; see `GroupWord.__reduce__`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -27,6 +40,30 @@ _ID_ROWS: Rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _set = object.__setattr__
 
 
+class _Immutable:
+    """Base of the value classes: no field can be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _unguarded(cls: type) -> type:
+    """A private twin of `cls` whose slots take plain stores.
+
+    Both hooks are object's own, so attribute stores take CPython's fast
+    path; an object built as a twin must be handed out only after its
+    `__class__` is set back to `cls`.
+    """
+    return type(f"_Unguarded{cls.__name__}", (cls,), {
+        "__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__,
+    })
+
+
 def _det3(r: Rows) -> int:
     return (
         r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
@@ -35,8 +72,7 @@ def _det3(r: Rows) -> int:
     )
 
 
-@dataclass(frozen=True)
-class LambdaMatrix:
+class LambdaMatrix(_Immutable):
     """An element of the integer special linear group in rank 3.
 
     Entries are arbitrary-precision ints; the determinant must be +1,
@@ -45,26 +81,35 @@ class LambdaMatrix:
     docstring).  The hash and the inverse are cached on the instance.
     """
 
-    rows: Rows
+    __slots__ = ("rows", "_hash", "_inv")
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise ValueError(f"need a 3x3 matrix, got {self.rows!r}")
-        d = _det3(self.rows)
+    def __new__(cls, rows: Rows) -> "LambdaMatrix":
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise ValueError(f"need a 3x3 matrix, got {rows!r}")
+        d = _det3(rows)
         if d != 1:
             raise ValueError(f"matrix determinant must be 1, got {d}")
+        return _trusted(rows)
 
     @property
     def is_identity(self) -> bool:
         return self.rows == _ID_ROWS
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
     def __hash__(self) -> int:
-        # cached, and equal to the hash the dataclass would generate
-        h = self.__dict__.get("_hash")
+        # cached, and equal to the hash the dataclass generated
+        h = self._hash
         if h is None:
             h = hash((self.rows,))
             _set(self, "_hash", h)
         return h
+
+    def __reduce__(self):
+        return _trusted, (self.rows,)
 
     def __mul__(self, other: "LambdaMatrix") -> "LambdaMatrix":
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.rows
@@ -87,7 +132,7 @@ class LambdaMatrix:
         Computed once per instance; the result remembers this matrix as
         its own inverse, so `m.inverse().inverse() is m`.
         """
-        inv = self.__dict__.get("_inv")
+        inv = self._inv
         if inv is None:
             (a, b, c), (d, e, f), (g, h, i) = self.rows
             inv = _trusted((
@@ -119,10 +164,16 @@ class LambdaMatrix:
         return f"LambdaMatrix({self.rows})"
 
 
+_UnguardedMatrix = _unguarded(LambdaMatrix)
+
+
 def _trusted(rows: Rows) -> LambdaMatrix:
     """Build a matrix known to have det 1 without re-validating it."""
-    m = object.__new__(LambdaMatrix)
-    _set(m, "rows", rows)
+    m = object.__new__(_UnguardedMatrix)
+    m.rows = rows
+    m._hash = None
+    m._inv = None
+    m.__class__ = LambdaMatrix
     return m
 
 

@@ -5,10 +5,12 @@ rank-3 vectors mod p_n; the matrix group acts on every block at once.
 
 Validation happens at the boundary: `KVector.from_mapping`/`single` check
 every block index against the configured primes and reduce the
-coordinates, and `G0Element(k, lam)` takes parts built that way.  The
-results of `KVector.add`/`act`/`neg` and `G0Element.mul`/`inv` only ever
-carry indices and reduced coordinates of such operands, so they are built
-by the private `_kvec` and `_g0` constructors without re-checking, and
+coordinates, and `G0Element(k, lam)` takes parts built that way (the
+plain constructors `KVector(items)` and `G0Element(k, lam)` store what
+they are given).  The results of `KVector.add`/`act`/`neg` and
+`G0Element.mul`/`inv` only ever carry indices and reduced coordinates of
+such operands, so they are built by the private trusted constructors
+`_kvec` and `_g0` (see `matrices` for how trusted construction works) and
 read the primes as `primes.primes[n]` rather than through `PrimeSeq.p`.
 
 This module also owns the one integer encoding of block points: the
@@ -21,13 +23,12 @@ gives the matrix action on one block as a permutation of codes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .matrices import IDENTITY_MATRIX, LambdaMatrix, _ID_ROWS
+from .matrices import IDENTITY_MATRIX, LambdaMatrix, _ID_ROWS, _Immutable, _unguarded
 from .primes import PrimeSeq
 
 __all__ = [
@@ -42,9 +43,6 @@ __all__ = [
 ]
 
 Triple = tuple[int, int, int]
-
-_set = object.__setattr__
-
 
 @lru_cache(maxsize=None)
 def block_points(p: int) -> tuple[Triple, ...]:
@@ -83,15 +81,31 @@ def product_image(ps: Sequence[int], g: LambdaMatrix) -> np.ndarray:
     return image
 
 
-@dataclass(frozen=True)
-class KVector:
+class KVector(_Immutable):
     """Finitely supported element of the restricted direct sum of blocks.
 
     Stored as (index, coords) pairs sorted by index with zero blocks
     dropped, so equal vectors have equal representations.
     """
 
-    items: tuple[tuple[int, Triple], ...]
+    __slots__ = ("items",)
+
+    def __new__(cls, items: tuple[tuple[int, Triple], ...]) -> "KVector":
+        return _kvec(items)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
+
+    def __repr__(self) -> str:
+        return f"KVector(items={self.items!r})"
+
+    def __reduce__(self):
+        return _kvec, (self.items,)
 
     @classmethod
     def from_mapping(cls, primes: PrimeSeq, blocks: Mapping[int, Iterable[int]]) -> "KVector":
@@ -179,22 +193,41 @@ class KVector:
         return not items or items[0][0] >= cutoff
 
 
+_UnguardedKVector = _unguarded(KVector)
+
+
 def _kvec(items: tuple[tuple[int, Triple], ...]) -> KVector:
     """Build a vector from sorted, reduced, nonzero blocks without re-checking."""
-    v = object.__new__(KVector)
-    _set(v, "items", items)
+    v = object.__new__(_UnguardedKVector)
+    v.items = items
+    v.__class__ = KVector
     return v
 
 
 ZERO_K = _kvec(())
 
 
-@dataclass(frozen=True)
-class G0Element:
+class G0Element(_Immutable):
     """Semidirect pair (vector part, matrix part) with law (k, g)(k', g') = (k + g k', g g')."""
 
-    k: KVector
-    lam: LambdaMatrix
+    __slots__ = ("k", "lam")
+
+    def __new__(cls, k: KVector, lam: LambdaMatrix) -> "G0Element":
+        return _g0(k, lam)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.lam) == (other.k, other.lam)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.lam))
+
+    def __repr__(self) -> str:
+        return f"G0Element(k={self.k!r}, lam={self.lam!r})"
+
+    def __reduce__(self):
+        return _g0, (self.k, self.lam)
 
     @classmethod
     def identity(cls) -> "G0Element":
@@ -220,9 +253,13 @@ class G0Element:
         return _g0(self.k.neg(primes).act(lam_inv, primes), lam_inv)
 
 
+_UnguardedG0 = _unguarded(G0Element)
+
+
 def _g0(k: KVector, lam: LambdaMatrix) -> G0Element:
     """Build a pair from already-valid parts without re-checking."""
-    e = object.__new__(G0Element)
-    _set(e, "k", k)
-    _set(e, "lam", lam)
+    e = object.__new__(_UnguardedG0)
+    e.k = k
+    e.lam = lam
+    e.__class__ = G0Element
     return e

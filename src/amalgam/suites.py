@@ -297,7 +297,16 @@ def _orbits_checks(config: SuiteConfig) -> list:
 
 
 # ----------------------------------------------------------------------
-# fourier: duality, intertwining, projections
+# fourier: duality, intertwining, projections; every row first passes
+# `_guard_tables`, since each builds or walks a p^3 x p^3 table of block p
+def _guard_tables(ctx: _Context, p: int) -> None:
+    entries, guard = p**6, ctx.config.size_guard
+    if entries > guard:
+        raise SizeGuardExceeded(
+            f"block tables mod {p} have {entries} entries, above the guard of {guard}"
+        )
+
+
 def _random_function(ctx: _Context, p: int) -> np.ndarray:
     rng = ctx.sampler.rng
     return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(p**3)])
@@ -311,6 +320,7 @@ def _max_coefficient_gap(a, b) -> float:
 
 
 def _intertwining(ctx: _Context, p: int, n: int):
+    _guard_tables(ctx, p)
     worst = 0.0
     for g in ELEMENTARY_GENERATORS:
         worst = max(worst, check_intertwiner(ctx.tower, g, n))
@@ -318,6 +328,7 @@ def _intertwining(ctx: _Context, p: int, n: int):
 
 
 def _transform_round_trip(ctx: _Context, p: int, n: int):
+    _guard_tables(ctx, p)
     tol = ctx.config.tolerance
     f = _random_function(ctx, p)
     coeffs = fourier(ctx.tower, n, f)
@@ -337,6 +348,7 @@ def _transform_round_trip(ctx: _Context, p: int, n: int):
 
 
 def _pointwise_to_convolution(ctx: _Context, p: int, n: int):
+    _guard_tables(ctx, p)
     tower = ctx.tower
     f = _random_function(ctx, p)
     g = _random_function(ctx, p)
@@ -347,6 +359,7 @@ def _pointwise_to_convolution(ctx: _Context, p: int, n: int):
 
 
 def _projection_identities(ctx: _Context, p: int, n: int):
+    _guard_tables(ctx, p)
     en = projection_en(ctx.tower, n)
     idempotent = en.mul(en).equals(en)
     trace_ok = en.trace() == Fraction(1, p**3)
@@ -364,6 +377,7 @@ def _projection_identities(ctx: _Context, p: int, n: int):
 
 
 def _projection_matches_transform(ctx: _Context, p: int, n: int):
+    _guard_tables(ctx, p)
     en = projection_en(ctx.tower, n)
     indicator = np.zeros(p**3, dtype=complex)
     indicator[0] = 1.0

@@ -42,7 +42,8 @@ Validation happens at the boundary: `Tower.h`, `k_vector`, `lam` and the
 element grammar build their parts through the checking constructors, and
 `Tower.mul`/`inv`/`eq` (and so `conj`) and the membership predicates refuse
 words of a tower with other primes.  Results of arithmetic are built from
-such parts by the private `_word` constructor without re-checking.  A
+such parts by the private trusted constructor `_word` without re-checking
+(see `matrices` for how trusted construction works).  A
 product with an identity operand returns the other operand when it belongs
 to this tower: level-0 words are canonical and a word of a higher level
 is reduced when it is built, so this is the same element in the same
@@ -59,7 +60,6 @@ subgroup before a stable power is crossed goes back to the engine.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .matrices import (
@@ -67,6 +67,8 @@ from .matrices import (
     IDENTITY_MATRIX,
     LambdaMatrix,
     _ID_ROWS,
+    _Immutable,
+    _unguarded,
 )
 from .orbits import DEFAULT_SIZE_GUARD, SizeGuardExceeded
 from .primes import PrimeSeq
@@ -78,27 +80,29 @@ __all__ = ["GroupWord", "Tower"]
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, init=False)
-class GroupWord:
+class GroupWord(_Immutable):
     """Immutable reduced word, built only through a Tower.
 
     Calling `GroupWord(...)` raises TypeError: a word built outside the
     tower could be an identity that is not the tower's identity word.
-    Structural equality/hash compare the representation, not the group
-    element; use Tower.eq or Tower.key for element equality.  The tower's
-    single identity word is the only identity word, and the word remembers
-    its inverse once `Tower.inv` has computed it (one way only; see the
-    module docstring).
+    Equality and hash compare the representation (level, g0, factors,
+    exponents), not the group element and not the tower; use Tower.eq or
+    Tower.key for element equality.  The tower's single identity word is
+    the only identity word.  The hash and, once `Tower.inv` has computed
+    it, the inverse are cached on the word (one way only; see the module
+    docstring).
     """
 
-    tower: "Tower" = field(compare=False, repr=False)
-    level: int
-    g0: G0Element | None
-    factors: tuple["GroupWord", ...]
-    exponents: tuple[int, ...]
+    __slots__ = ("tower", "level", "g0", "factors", "exponents", "_hash", "_inv")
 
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError("build words through a Tower (h, lam, g0, stable, mul, ...)")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.g0, self.factors, self.exponents) == (
+            other.level, other.g0, other.factors, other.exponents)
 
     @property
     def is_identity(self) -> bool:
@@ -138,21 +142,37 @@ class GroupWord:
 
     def __hash__(self) -> int:
         # cached: words are hot dict keys in convolutions and orbit searches
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.level, self.g0, self.factors, self.exponents))
             _set(self, "_hash", h)
         return h
 
+    def __reduce__(self):
+        # a blank word first and its fields as state, so that a copy made
+        # while its tower is copied (a tower holds its identity word) is
+        # the one object the copied tower refers to
+        return _word, (None, 0), (self.tower, self.level, self.g0, self.factors, self.exponents)
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self.__slots__, state + (None, None)):
+            _set(self, name, value)
+
+
+_UnguardedWord = _unguarded(GroupWord)
+
 
 def _word(tower: "Tower", level: int, g0=None, factors=(), exponents=()) -> GroupWord:
-    """Build a word from already-reduced parts without the dataclass init."""
-    w = object.__new__(GroupWord)
-    _set(w, "tower", tower)
-    _set(w, "level", level)
-    _set(w, "g0", g0)
-    _set(w, "factors", factors)
-    _set(w, "exponents", exponents)
+    """Build a word from already-reduced parts without re-checking."""
+    w = object.__new__(_UnguardedWord)
+    w.tower = tower
+    w.level = level
+    w.g0 = g0
+    w.factors = factors
+    w.exponents = exponents
+    w._hash = None
+    w._inv = None
+    w.__class__ = GroupWord
     return w
 
 
@@ -344,7 +364,7 @@ class Tower:
         """
         own = a.tower is self
         if own:
-            cached = a.__dict__.get("_inv")
+            cached = a._inv
             if cached is not None:
                 return cached
         else:

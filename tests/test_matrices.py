@@ -22,7 +22,7 @@ BALL_SIZES = (1, 13, 121, 883)
 
 def test_identity_and_validation():
     assert IDENTITY_MATRIX.is_identity
-    with pytest.raises(ValueError, match="determinant"):
+    with pytest.raises(ValueError, match="^matrix determinant must be 1, got 2$"):
         LambdaMatrix(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValueError, match="3x3"):
         LambdaMatrix(((1, 0), (0, 1)))

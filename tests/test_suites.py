@@ -372,11 +372,12 @@ def test_xi_suite_records_expected_skips():
 
 def test_size_guard_maps_to_skip():
     guarded = SuiteConfig(primes=PrimeSeq.parse("2,3,5,7,11"), samples=20, size_guard=50)
-    report = run_suite("orbits", guarded)
-    assert report.passed  # skips never fail a run
-    assert report.counts["skip"] >= 1
-    reasons = [c["reason"] for c in report.checks if c["outcome"] == "skip"]
-    assert all("guard" in r for r in reasons)
+    for suite in ("orbits", "fourier"):
+        report = run_suite(suite, guarded)
+        assert report.passed  # skips never fail a run
+        assert report.counts["skip"] >= 1
+        reasons = [c["reason"] for c in report.checks if c["outcome"] == "skip"]
+        assert all("guard" in r for r in reasons)
 
 
 def test_run_all_returns_report_per_suite():
