@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .grammar import parse_element
+from .orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES
 from .primes import PrimeSeq
 from .suites import SUITE_NAMES, Report, SuiteConfig, run_suite
 from .words import Tower
@@ -63,7 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--radius", type=int, default=3)
     verify.add_argument("--level", type=int, default=3)
     verify.add_argument("--samples", type=int, default=None)
-    verify.add_argument("--size-guard", type=int, default=None, dest="size_guard")
+    verify.add_argument(
+        "--size-guard", type=int, default=None, dest="size_guard",
+        help=f"most integer entries a check may hold, a kept word counting as {WORD_ENTRIES} "
+             f"(default {DEFAULT_SIZE_GUARD}); a check that would hold more is skipped",
+    )
     verify.add_argument(
         "--out",
         default=None,

@@ -99,21 +99,31 @@ class GroupAlgebraElement:
     Coefficients may be exact rationals or complex floats; convolution,
     adjoint, and trace follow the group algebra rules, and the Hermitian
     pairing and norm those of l^2(G).  Keys must be reduced words of one
-    tower.
+    tower.  A key above level 0 is stored as its `Tower.key`, and keys of
+    one element merge, the later coefficients added to the first in
+    insertion order, so the element is a function on the group, not on
+    words; level-0 words are canonical already.
     """
 
     tower: Tower = field(repr=False)
     coeffs: dict[GroupWord, object]
 
     def __post_init__(self) -> None:
-        self.coeffs = {w: c for w, c in self.coeffs.items() if c != 0}
+        coeffs = self.coeffs
+        if any(w.level for w in coeffs):
+            key, coeffs = self.tower.key, {}
+            for w, c in self.coeffs.items():
+                w = key(w) if w.level else w
+                prev = coeffs.get(w)
+                coeffs[w] = c if prev is None else prev + c
+        self.coeffs = {w: c for w, c in coeffs.items() if c != 0}
 
     @classmethod
     def basis(cls, word: GroupWord, coeff=Fraction(1)) -> "GroupAlgebraElement":
         return cls(word.tower, {word: coeff})
 
     def coefficient(self, word: GroupWord):
-        return self.coeffs.get(word, 0)
+        return self.coeffs.get(self.tower.key(word) if word.level else word, 0)
 
     @property
     def support(self):
@@ -209,7 +219,7 @@ class GroupAlgebraElement:
         return all(isinstance(c, Rational) for c in self.coeffs.values())
 
     def equals(self, other: "GroupAlgebraElement") -> bool:
-        """Coefficientwise equality (keys supported in the base lattice are canonical)."""
+        """Coefficientwise equality (every key is canonical)."""
         return self.coeffs == other.coeffs
 
 

@@ -18,8 +18,10 @@ instance of the private `_unguarded` twin of the class, stores each slot
 plainly, and then makes the object an instance of the public class, so no
 twin escapes.  The public constructor checks what it is given, if
 anything, and calls the trusted one, and `__reduce__` rebuilds through
-it, which keeps `pickle`, `copy` and `deepcopy` working (a word is
-rebuilt blank and then given its fields; see `GroupWord.__reduce__`).
+it, which keeps `pickle` and `deepcopy` working (a word is rebuilt blank
+and then given its fields; see `GroupWord.__reduce__`).  `copy.copy`
+returns the object itself, as for a tuple, so a copy of a tower's
+identity word is still that word.
 """
 from __future__ import annotations
 
@@ -50,6 +52,9 @@ class _Immutable:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
 
 
 def _unguarded(cls: type) -> type:

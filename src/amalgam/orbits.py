@@ -34,6 +34,7 @@ __all__ = [
 Triple = tuple[int, int, int]
 
 DEFAULT_SIZE_GUARD = 10_000_000
+WORD_ENTRIES = 32  # entries a kept word counts as; words measured 27 to 100 entries' bytes
 
 
 class SizeGuardExceeded(ValueError):

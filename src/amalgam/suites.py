@@ -1,20 +1,22 @@
 """Named verification suites with deterministic, diffable JSON reports.
 
-Each suite is one declared table of (check, parameters, function, primes)
-rows, built from the config alone.  A check is a module-level function
-whose keyword arguments are its report parameters: `run_suite` calls it as
-fn(context, **parameters), in table order, where the context holds the
-config, a fresh tower and one seeded sampler whose stream is the suite's
-only randomness.  `primes` is how many configured primes the row needs.
-A table declares the same rows at every prime count (bound's windows
-follow the count, and all its rows run); a row that needs more primes
-than are configured is a skip that calls nothing, and its parameters name
-no unconfigured prime, e.g. {"p": None, "n": 3}.  So two runs with the
-same config are byte-identical apart from the elapsed_s timing fields.
-Outcomes are "pass", "fail", or "skip" (skips carry a reason and never
-fail a run); the process-level contract is exit 0 when nothing failed,
-1 otherwise, and 2 for unusable configuration.  An exception raised
-inside a check is that check's failure, never a configuration error.
+Each suite is one declared table of (check, parameters, function, primes,
+entries) rows, built from the config alone.  A check is a module-level
+function whose keyword arguments are its report parameters: `run_suite`
+calls it as fn(context, **parameters), in table order, where the context
+holds the config, a fresh tower and one seeded sampler whose stream is the
+suite's only randomness.  `primes` is how many configured primes the row
+needs, and `entries` the most it holds at once (a kept word counts as
+`WORD_ENTRIES`).  A table declares the same rows at every prime count
+(bound's windows follow the count, and all its rows run); a row that needs
+more primes, or holds more entries than the size guard, is a skip that
+calls nothing, and its parameters name no unconfigured prime, e.g.
+{"p": None, "n": 3}.  So two runs with the same config are byte-identical
+apart from the elapsed_s timing fields.  Outcomes are "pass", "fail", or
+"skip" (skips carry a reason and never fail a run); the process-level
+contract is exit 0 when nothing failed, 1 otherwise, and 2 for unusable
+configuration.  An exception raised inside a check is that check's
+failure, never a configuration error.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ from .fourier import check_intertwiner, fourier, inverse_fourier, projection_en
 from .grammar import parse_element
 from .matrices import ELEMENTARY_GENERATORS, generator_ball
 from .orbits import (
-    DEFAULT_SIZE_GUARD, SizeGuardExceeded, diagonal_orbits, fixed_point_dimension,
-    partitions_agree, zero_pattern_partition,
+    DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded, diagonal_orbits,
+    fixed_point_dimension, partitions_agree, zero_pattern_partition,
 )
 from .primes import PrimeSeq
 from . import primes as _primes_mod
@@ -160,6 +162,10 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _cube(config: SuiteConfig, n: int) -> int:  # p_n^3, or 0 past the configured primes
+    return config.primes.cube(n) if n < len(config.primes) else 0
+
+
 # ----------------------------------------------------------------------
 # icc: group law, reduced-word soundness, conjugate growth
 def _group_axioms(ctx: _Context, max_length: int, level_cap: int):
@@ -231,12 +237,12 @@ def _conjugate_growth(ctx: _Context, element: str, region: str):
 def _icc_checks(config: SuiteConfig) -> list:
     level_cap = min(3, config.level)
     return [
-        ("group-axioms", {"max_length": 8, "level_cap": level_cap}, _group_axioms, 1),
+        ("group-axioms", {"max_length": 8, "level_cap": level_cap}, _group_axioms, 1, 0),
         ("reduced-word-soundness", {"level_cap": level_cap, "syllables": "1..3"},
-         _reduced_word_soundness, 1),
-        ("matrix-ball-sizes", {"radius": min(config.radius, 3)}, _matrix_ball_sizes, 1),
+         _reduced_word_soundness, 1, 0),
+        ("matrix-ball-sizes", {"radius": min(config.radius, 3)}, _matrix_ball_sizes, 1, 0),
     ] + [
-        ("conjugate-growth", {"element": element, "region": region}, _conjugate_growth, need)
+        ("conjugate-growth", {"element": element, "region": region}, _conjugate_growth, need, 0)
         for region, element, need in _GROWTH_PANEL
     ]
 
@@ -289,24 +295,16 @@ def _orbits_checks(config: SuiteConfig) -> list:
     for count in (1, 2, 3):
         params = ({"primes": list(config.primes)[:count]} if count <= len(config.primes)
                   else {"primes": None, "count": count})
+        points = math.prod(_cube(config, n) for n in range(count))
         rows += [
-            ("diagonal-orbit-blocks", params, _diagonal_orbit_blocks, count),
-            ("fixed-point-dimension", params, _fixed_point_dimension, count),
+            ("diagonal-orbit-blocks", params, _diagonal_orbit_blocks, count, points),
+            ("fixed-point-dimension", params, _fixed_point_dimension, count, points),
         ]
     return rows
 
 
 # ----------------------------------------------------------------------
-# fourier: duality, intertwining, projections; every row first passes
-# `_guard_tables`, since each builds or walks a p^3 x p^3 table of block p
-def _guard_tables(ctx: _Context, p: int) -> None:
-    entries, guard = p**6, ctx.config.size_guard
-    if entries > guard:
-        raise SizeGuardExceeded(
-            f"block tables mod {p} have {entries} entries, above the guard of {guard}"
-        )
-
-
+# fourier: duality, intertwining, projections; each row holds p^3 x p^3 tables
 def _random_function(ctx: _Context, p: int) -> np.ndarray:
     rng = ctx.sampler.rng
     return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(p**3)])
@@ -320,7 +318,6 @@ def _max_coefficient_gap(a, b) -> float:
 
 
 def _intertwining(ctx: _Context, p: int, n: int):
-    _guard_tables(ctx, p)
     worst = 0.0
     for g in ELEMENTARY_GENERATORS:
         worst = max(worst, check_intertwiner(ctx.tower, g, n))
@@ -328,7 +325,6 @@ def _intertwining(ctx: _Context, p: int, n: int):
 
 
 def _transform_round_trip(ctx: _Context, p: int, n: int):
-    _guard_tables(ctx, p)
     tol = ctx.config.tolerance
     f = _random_function(ctx, p)
     coeffs = fourier(ctx.tower, n, f)
@@ -348,7 +344,6 @@ def _transform_round_trip(ctx: _Context, p: int, n: int):
 
 
 def _pointwise_to_convolution(ctx: _Context, p: int, n: int):
-    _guard_tables(ctx, p)
     tower = ctx.tower
     f = _random_function(ctx, p)
     g = _random_function(ctx, p)
@@ -359,7 +354,6 @@ def _pointwise_to_convolution(ctx: _Context, p: int, n: int):
 
 
 def _projection_identities(ctx: _Context, p: int, n: int):
-    _guard_tables(ctx, p)
     en = projection_en(ctx.tower, n)
     idempotent = en.mul(en).equals(en)
     trace_ok = en.trace() == Fraction(1, p**3)
@@ -377,7 +371,6 @@ def _projection_identities(ctx: _Context, p: int, n: int):
 
 
 def _projection_matches_transform(ctx: _Context, p: int, n: int):
-    _guard_tables(ctx, p)
     en = projection_en(ctx.tower, n)
     indicator = np.zeros(p**3, dtype=complex)
     indicator[0] = 1.0
@@ -389,18 +382,19 @@ def _fourier_checks(config: SuiteConfig) -> list:
     rows = []
     for n in range(4):
         params = {"p": config.primes.p(n) if n < len(config.primes) else None, "n": n}
+        tables = _cube(config, n) ** 2
         rows += [
-            ("intertwining", params, _intertwining, n + 1),
-            ("transform-round-trip", params, _transform_round_trip, n + 1),
-            ("pointwise-to-convolution", params, _pointwise_to_convolution, n + 1),
-            ("projection-identities", params, _projection_identities, n + 1),
-            ("projection-matches-transform", params, _projection_matches_transform, n + 1),
+            ("intertwining", params, _intertwining, n + 1, tables),
+            ("transform-round-trip", params, _transform_round_trip, n + 1, tables),
+            ("pointwise-to-convolution", params, _pointwise_to_convolution, n + 1, tables),
+            ("projection-identities", params, _projection_identities, n + 1, tables),
+            ("projection-matches-transform", params, _projection_matches_transform, n + 1, tables),
         ]
     return rows
 
 
 # ----------------------------------------------------------------------
-# xi: overlaps, exact invariance, violation probes
+# xi: overlaps, exact invariance, violation probes; each row builds block n's words
 def _identity_overlap(ctx: _Context, n: int):
     tower = ctx.tower
     p = tower.primes.p(n)
@@ -474,22 +468,24 @@ def _violation_search(ctx: _Context, cutoff: int, n: int):
 
 
 def _xi_checks(config: SuiteConfig) -> list:
-    rows = [("identity-overlap", {"n": n}, _identity_overlap, n + 1) for n in range(4)]
+    rows = [("identity-overlap", {"n": n}, _identity_overlap) for n in range(4)]
     for cutoff in range(min(3, config.level + 1)):
         for n in (cutoff + 1, cutoff + 2):
             params = {"cutoff": cutoff, "n": n}
             rows += [
-                ("invariance-letters", params, _invariance_letters, n + 1),
-                ("invariance-length-2", params, _invariance_length_2, n + 1),
-                ("invariance-core-length-3", params, _invariance_core_length_3, n + 1),
-                ("invariance-random-length-4", params, _invariance_random_length_4, n + 1),
+                ("invariance-letters", params, _invariance_letters),
+                ("invariance-length-2", params, _invariance_length_2),
+                ("invariance-core-length-3", params, _invariance_core_length_3),
+                ("invariance-random-length-4", params, _invariance_random_length_4),
             ]
-    return rows + [
-        ("violation-search", {"cutoff": cutoff, "n": n}, _violation_search, n + 1)
+    rows += [
+        ("violation-search", {"cutoff": cutoff, "n": n}, _violation_search)
         for cutoff in range(1, min(4, config.level + 1))
         for n in (0, 1)
         if n <= cutoff
     ]
+    return [(check, params, fn, params["n"] + 1, WORD_ENTRIES * _cube(config, params["n"]))
+            for check, params, fn in rows]
 
 
 # ----------------------------------------------------------------------
@@ -559,14 +555,14 @@ def _disjoint_checks(config: SuiteConfig) -> list:
     for cutoff in (1, 2, 3):
         params = {"cutoff": cutoff}
         rows += [
-            ("conjugate-escapes-lattice", params, _conjugate_escapes_lattice, cutoff + 1),
-            ("conjugate-fixes-high-blocks", params, _conjugate_fixes_high_blocks, cutoff + 1),
+            ("conjugate-escapes-lattice", params, _conjugate_escapes_lattice, cutoff + 1, 0),
+            ("conjugate-fixes-high-blocks", params, _conjugate_fixes_high_blocks, cutoff + 1, 0),
         ]
     for cutoff in (1, 2):
         params = {"cutoff": cutoff}
         rows += [
-            ("orthogonality-inequality", params, _orthogonality_inequality, cutoff + 2),
-            ("expectation-projection", params, _expectation_projection, cutoff + 2),
+            ("orthogonality-inequality", params, _orthogonality_inequality, cutoff + 2, 0),
+            ("expectation-projection", params, _expectation_projection, cutoff + 2, 0),
         ]
     return rows
 
@@ -627,11 +623,11 @@ def _bound_checks(config: SuiteConfig) -> list:
     windows = sorted({(0, 0), (0, min(2, last)), (0, last), (min(1, last), last)})
     factors = min(2, last) + 1
     return [
-        ("truncated-trace-product", {"first": first, "last": wlast}, _truncated_trace_product, 1)
+        ("truncated-trace-product", {"first": first, "last": wlast}, _truncated_trace_product, 1, 0)
         for first, wlast in windows
     ] + [
-        ("deviation-extreme-points", {"factors": factors}, _deviation_extreme_points, 1),
-        ("deviation-random-unit-ball", {"factors": factors}, _deviation_random_unit_ball, 1),
+        ("deviation-extreme-points", {"factors": factors}, _deviation_extreme_points, 1, 0),
+        ("deviation-random-unit-ball", {"factors": factors}, _deviation_random_unit_ball, 1, 0),
     ]
 
 
@@ -649,20 +645,23 @@ _SUITES = {
 def _run_checks(suite: str, config: SuiteConfig) -> list[dict]:
     """Record each row's fn(context, **parameters) -> (outcome, extra), in order.
 
-    A skip carries its reason in extra as {"reason": ...}.  A row that
-    needs more primes than are configured is a skip that calls nothing,
-    and the size guard maps to a skip.  Any other exception is recorded
-    as the check's failure, with an `error` field "<Type>: <message>" and
-    the traceback on stderr, so the suite runs its remaining checks.
+    A skip carries its reason in extra as {"reason": ...}.  A row that needs
+    more primes than are configured, or more entries than the guard, is a
+    skip that calls nothing; SizeGuardExceeded (conjugate growth) is a skip
+    too.  Any other exception is the check's failure, with an `error` field
+    "<Type>: <message>" and the traceback on stderr, so the suite runs on.
     """
     tower = Tower(config.primes)
     context = _Context(config, tower, Sampler(tower, config.seed))
     checks = []
-    for check, parameters, fn, needs in _SUITES[suite](config):
+    for check, parameters, fn, needs, entries in _SUITES[suite](config):
         started = time.perf_counter()
         try:
             if needs > len(config.primes):
                 outcome, extra = "skip", {"reason": f"needs at least {needs} primes"}
+            elif entries > config.size_guard:
+                outcome, extra = "skip", {
+                    "reason": f"holds {entries} entries, above the guard of {config.size_guard}"}
             else:
                 outcome, extra = fn(context, **parameters)
         except SizeGuardExceeded as exc:

@@ -3,16 +3,13 @@
 A vector is a `GroupAlgebraElement`: a finitely supported combination
 of words, read through its `inner`, `norm_squared` and `support` rather
 than its convolution.
-Basis vectors are indexed by reduced words compared by representation;
-base-lattice words have a unique representation, and a single
-conjugation relabels any support injectively, so every check in this
-module identifies keys soundly.  (Reduced words at level >= 1 admit more
-than one representation; to mix independently reduced high-level keys,
-map each through Tower.key, which gives every element one word.)  The
-uniform block vectors produced by `xi` are fixed by every conjugation
-that normalizes their block, which `check_xi_invariance` verifies
-exactly: all coefficients of a uniform vector are equal, so invariance
-reduces to key-set equality under an injective relabeling.
+Basis vectors are indexed by canonical words (`GroupAlgebraElement`
+stores each key as its `Tower.key`), and conjugation relabels any
+support injectively.  The uniform block vectors produced by `xi` are
+fixed by every conjugation that normalizes their block, which
+`check_xi_invariance` verifies exactly: all coefficients of a uniform
+vector are equal, so invariance reduces to key-set equality under an
+injective relabeling.
 Norm comparisons are decided on exact squared sums whenever the
 coefficients are rational.
 """
@@ -51,10 +48,10 @@ def delta(tower: Tower, w: GroupWord) -> GroupAlgebraElement:
 def adjoint_apply(g: GroupWord, v: GroupAlgebraElement) -> GroupAlgebraElement:
     """Relabel the basis by conjugation: the key k moves to g k g^{-1}."""
     tw = v.tower
-    out = {tw.conj(k, g): c for k, c in v.coeffs.items()}
-    if len(out) != len(v.coeffs):
-        raise AssertionError("conjugation collided on reduced keys; reduction is broken")
-    return GroupAlgebraElement(tw, out)
+    out = GroupAlgebraElement(tw, {tw.conj(k, g): c for k, c in v.coeffs.items()})
+    if len(out.coeffs) != len(v.coeffs):
+        raise AssertionError("conjugation collided on group elements; reduction is broken")
+    return out
 
 
 def xi(tower: Tower, n: int) -> GroupAlgebraElement:

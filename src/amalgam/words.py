@@ -59,6 +59,7 @@ subgroup before a stable power is crossed goes back to the engine.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Iterable, Sequence
 
@@ -70,9 +71,9 @@ from .matrices import (
     _Immutable,
     _unguarded,
 )
-from .orbits import DEFAULT_SIZE_GUARD, SizeGuardExceeded
+from .orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded
 from .primes import PrimeSeq
-from .semidirect import G0Element, KVector, ZERO_K, _g0, _kvec, block_points
+from .semidirect import G0Element, KVector, ZERO_K, _g0, _kvec
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
@@ -217,10 +218,12 @@ class Tower:
 
         Index i holds h(n; x) for the point x of code i (see `semidirect`);
         index 0 is the identity.
-        Memoized per tower.
+        Memoized per tower one block at a time: building another releases it.
         """
         if n not in self._block_cache:
-            self._block_cache[n] = tuple(self.h(n, x) for x in block_points(self.primes.p(n)))
+            self._block_cache.clear()
+            points = itertools.product(range(self.primes.p(n)), repeat=3)
+            self._block_cache[n] = tuple(self.h(n, x) for x in points)
         return self._block_cache[n]
 
     def k_vector(self, blocks: dict[int, Iterable[int]]) -> GroupWord:
@@ -504,10 +507,10 @@ class Tower:
         Conjugators run over matrix-generator balls when g is outside the
         coordinate subgroup, and over word-metric balls one level above g
         otherwise (where matrix conjugation alone would be too coarse a
-        reading of the ambient group).  Before each radius is expanded,
-        the conjugates seen plus one per frontier word and letter bound
-        what it can hold; `SizeGuardExceeded` is raised when that bound
-        passes `size_guard`, so a profile that saturates runs to any radius.
+        reading of the ambient group).  Before each radius, the conjugates
+        seen plus one per frontier word and letter, at `WORD_ENTRIES` entries
+        each, bound what it can hold; past `size_guard` it raises
+        `SizeGuardExceeded`, so a profile that saturates runs to any radius.
         """
         if g.is_identity:
             raise ValueError("conjugate growth of the identity is not defined")
@@ -521,11 +524,10 @@ class Tower:
         seen = set(frontier)
         counts = [1]
         for r in range(1, radius + 1):
-            reach = len(seen) + len(frontier) * len(letters)
+            reach = WORD_ENTRIES * (len(seen) + len(frontier) * len(letters))
             if reach > size_guard:
-                raise SizeGuardExceeded(
-                    f"conjugates to radius {r} may number {reach}, above the guard of {size_guard}"
-                )
+                raise SizeGuardExceeded(f"conjugates to radius {r} may hold {reach} entries, "
+                                        f"above the guard of {size_guard}")
             nxt: list[GroupWord] = []
             for c in frontier:
                 for ltr in letters:

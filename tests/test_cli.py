@@ -10,7 +10,7 @@ from amalgam import suites
 from amalgam.cli import main
 from amalgam.suites import SUITE_NAMES
 from amalgam.words import Tower
-from timelimit import time_limit
+from timelimit import run_bounded, time_limit
 
 _ELAPSED = re.compile(r'"elapsed_s": [0-9.e+-]+')
 
@@ -183,7 +183,7 @@ def test_large_growth_radius_skips_the_rows_past_the_size_guard(capsys, tmp_path
     out_file = tmp_path / "icc.json"
     with time_limit(30.0):
         code, out, _ = run(
-            capsys, "verify", "icc", "--radius", "40", "--size-guard", "10000",
+            capsys, "verify", "icc", "--radius", "40", "--size-guard", "320000",
             "--out", str(out_file),
         )
     assert code == 0
@@ -197,8 +197,24 @@ def test_large_growth_radius_skips_the_rows_past_the_size_guard(capsys, tmp_path
             assert c["profile"][-1] == c["profile"][-2]
         else:
             assert c["outcome"] == "skip"
-            assert re.fullmatch(r"conjugates to radius \d+ may number \d+, "
-                                r"above the guard of 10000", c["reason"])
+            assert re.fullmatch(r"conjugates to radius \d+ may hold \d+ entries, "
+                                r"above the guard of 320000", c["reason"])
+
+
+@pytest.mark.parametrize("args, guarded", [
+    (("xi", "--primes", "211,3,5,7,11", "--samples", "5"), 4),
+    (("fourier", "--primes", "23"), 5),
+], ids=["xi", "fourier"])
+def test_large_first_prime_runs_inside_two_gib(args, guarded):
+    # block 0 mod 211 has 9.4M words and mod 23 a 148M-entry table: the
+    # rows that build them are skips at the default guard, before anything
+    # is built, and every other row runs
+    result = run_bounded(("verify", *args), seconds=120, address_space=2 << 30)
+    assert result.returncode == 0, result.stderr
+    over = re.findall(r"\[SKIP\] .*\(holds \d+ entries, above the guard of 10000000\)",
+                      result.stdout)
+    assert len(over) == guarded
+    assert result.stdout.splitlines()[-1].startswith("PASS:")
 
 
 def test_verify_reports_deterministic(capsys, tmp_path):

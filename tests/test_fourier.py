@@ -21,6 +21,7 @@ from amalgam.fourier import (
     projection_en,
     transform_matrix,
 )
+from amalgam.grammar import parse_element
 from amalgam.matrices import ELEMENTARY_GENERATORS, LambdaMatrix, elementary
 from amalgam.primes import PrimeSeq
 from amalgam.semidirect import G0Element, KVector, block_points, codes, image_table, point_array
@@ -272,6 +273,27 @@ def test_algebra_operations(tw: Tower):
     w = tw.stable(1)
     el = GroupAlgebraElement(tw, {w: 2 + 1j})
     assert el.star().coefficient(tw.inv(w)) == 2 - 1j
+
+
+def test_algebra_acts_on_elements_not_words(tw: Tower):
+    # t(2)*h(1;0,1,0)*L * t(2) and t(2)*L * t(2)*h(1;2,1,0) are two
+    # reduced words of one element: their basis vectors are one vector
+    lam = "L[1,1,0;0,1,0;0,0,1]"
+    a = parse_element(tw, f"t(2) * h(1;0,1,0) * {lam}")
+    a2 = parse_element(tw, f"t(2) * {lam}")
+    b, b2 = parse_element(tw, "t(2)"), parse_element(tw, "t(2) * h(1;2,1,0)")
+    w, w2 = tw.mul(a, b), tw.mul(a2, b2)
+    assert w != w2 and tw.eq(w, w2)
+    x, x2, y, y2 = (GroupAlgebraElement.basis(g) for g in (a, a2, b, b2))
+    u, v = x.mul(y), x2.mul(y2)
+    assert u.add(v).norm_squared() == 4
+    assert u.sub(v).support_size == 0 and u.equals(v)
+    both = x.add(x2).mul(y.add(y2))
+    assert sorted(both.coeffs.values()) == [1, 1, 2]
+    assert both.coefficient(w) == both.coefficient(w2) == 2
+    # later coefficients of one element add to the first, which keeps its place
+    merged = GroupAlgebraElement(tw, {b: 1, w: Fraction(1, 2), w2: Fraction(1, 3)})
+    assert list(merged.coeffs.values()) == [1, Fraction(5, 6)]
 
 
 def test_add_sub_inner_reject_mismatched_towers():

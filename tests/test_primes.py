@@ -1,15 +1,44 @@
 """Prime sequence configuration."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from amalgam.primes import PrimeSeq, as_prime_seq, is_prime, next_prime
 from amalgam.words import Tower
+from timelimit import time_limit
 
 
 def test_is_prime_small_table():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3215031751 = 151 * 751 * 28351 passes the strong test to bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2..23
+    assert is_prime(2**61 - 1) and is_prime(18446744073709551557)  # the largest below 2^64
+
+
+def test_long_primes_parse_at_once():
+    with time_limit(1.0):
+        assert tuple(PrimeSeq.parse("10000000000000061")) == (10000000000000061,)
+        assert next_prime(2**64 - 59) == 2**64 + 13
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        PrimeSeq.parse(str(2**64 + 13))
+    with pytest.raises(ValueError, match="decided only below"):
+        is_prime(10**30)
 
 
 def test_next_prime_steps():

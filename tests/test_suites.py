@@ -15,6 +15,7 @@ from amalgam import suites
 from amalgam.fourier import transform_matrix
 from amalgam.grammar import parse_element
 from amalgam.matrices import ELEMENTARY_GENERATORS, LambdaMatrix
+from amalgam.orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
 from amalgam.semidirect import image_table
@@ -65,7 +66,7 @@ def test_each_suite_passes_on_small_config(name):
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_declared_table_lists_the_reported_checks(name):
     # the table names every check and its parameters without running it
-    rows = [(check, params) for check, params, _, _ in suites._SUITES[name](SMALL)]
+    rows = [(check, params) for check, params, *_ in suites._SUITES[name](SMALL)]
     assert rows == [(c["check"], c["parameters"]) for c in _small_report(name).checks]
 
 
@@ -372,12 +373,52 @@ def test_xi_suite_records_expected_skips():
 
 def test_size_guard_maps_to_skip():
     guarded = SuiteConfig(primes=PrimeSeq.parse("2,3,5,7,11"), samples=20, size_guard=50)
-    for suite in ("orbits", "fourier"):
+    for suite in ("orbits", "fourier", "xi"):
         report = run_suite(suite, guarded)
         assert report.passed  # skips never fail a run
         assert report.counts["skip"] >= 1
         reasons = [c["reason"] for c in report.checks if c["outcome"] == "skip"]
         assert all("guard" in r for r in reasons)
+
+
+def test_growing_rows_skip_before_the_guard_in_words():
+    # growth charges WORD_ENTRIES per reachable word before each radius, so
+    # under a guard G a growing row conjugates at most G / WORD_ENTRIES
+    # words before its skip: 312,500 at the default guard, shown here at a
+    # guard of 2,000 words, where each row trips within a few radii
+    assert DEFAULT_SIZE_GUARD // WORD_ENTRIES == 312_500
+    words = 2000
+    for region, text, _ in suites._GROWTH_PANEL:
+        if region == "lattice":  # lattice profiles saturate
+            continue
+        tower = Tower(PrimeSeq.default())
+        conj, made = tower.conj, []
+        tower.conj = lambda w, g: made.append(w) or conj(w, g)
+        with pytest.raises(SizeGuardExceeded, match="may hold"):
+            tower.conjugate_growth_profile(parse_element(tower, text), 40,
+                                           size_guard=WORD_ENTRIES * words)
+        assert 0 < len(made) < words, text
+
+
+def test_xi_rows_under_the_guard_keep_the_suite_tower_under_it():
+    # each xi row declares WORD_ENTRIES * p_n^3 for block n, and the suite's
+    # one tower keeps one block at a time, so rows that each fit the guard
+    # never make the tower hold more, however many blocks the suite walks
+    config = SuiteConfig(primes=PrimeSeq.parse("7,5,3,2,11"), samples=5,
+                         size_guard=WORD_ENTRIES * 11**3)
+    block, held = Tower.block, []
+
+    def spy(self, n):
+        out = block(self, n)
+        held.append(sum(map(len, self._block_cache.values())))
+        return out
+
+    with mock.patch.object(Tower, "block", spy):
+        report = run_suite("xi", config)
+    assert report.passed
+    assert not [c for c in report.checks if "guard" in c.get("reason", "")]
+    assert set(held) == {7**3, 5**3, 3**3, 2**3, 11**3}
+    assert WORD_ENTRIES * max(held) <= config.size_guard
 
 
 def test_run_all_returns_report_per_suite():

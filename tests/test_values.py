@@ -92,6 +92,14 @@ def test_pickle_and_copies_round_trip(x):
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(y) is type(x)
         assert y == x and hash(y) == hash(x)
+    assert copy.copy(x) is x  # immutable, as a tuple
+
+
+def test_a_shallow_copy_of_the_identity_is_the_identity():
+    tw = Tower(PRIMES)
+    e, t = copy.copy(tw.identity()), tw.stable(1)
+    assert e.is_identity
+    assert tw.mul(e, t).format() == tw.mul(t, e).format() == "t(1)"
 
 
 def test_copies_of_a_tower_keep_its_one_identity_word():

@@ -202,18 +202,20 @@ def test_conjugate_growth_profiles(tw: Tower):
 
 
 def test_conjugate_growth_guard_bounds_each_radius(tw: Tower):
-    # the guard counts the conjugates seen plus one per frontier word and
-    # letter before each radius; a profile that saturates runs to any radius
+    # the guard charges WORD_ENTRIES for each conjugate seen and each
+    # frontier word and letter before each radius; a profile that saturates
+    # runs to any radius
     lattice = tw.h(0, (1, 0, 0))
     with time_limit(10.0):
-        assert tw.conjugate_growth_profile(lattice, 40, size_guard=1000) == (1, 3, 6) + (7,) * 38
+        assert tw.conjugate_growth_profile(lattice, 40, size_guard=32000) == (1, 3, 6) + (7,) * 38
         growing = tw.mul(tw.stable(2), tw.stable(1))
-        with pytest.raises(SizeGuardExceeded, match=r"radius 4 may number 10027, above the guard of 10000"):
-            tw.conjugate_growth_profile(growing, 40, size_guard=10000)
-    assert tw.conjugate_growth_profile(growing, 3, size_guard=10000) == (1, 13, 121, 883)
-    with pytest.raises(SizeGuardExceeded, match="radius 1 may number 13, above the guard of 12"):
-        tw.conjugate_growth_profile(growing, 1, size_guard=12)
-    assert tw.conjugate_growth_profile(growing, 1, size_guard=13) == (1, 13)
+        with pytest.raises(SizeGuardExceeded,
+                           match=r"radius 4 may hold 320864 entries, above the guard of 320000"):
+            tw.conjugate_growth_profile(growing, 40, size_guard=320000)
+    assert tw.conjugate_growth_profile(growing, 3, size_guard=320000) == (1, 13, 121, 883)
+    with pytest.raises(SizeGuardExceeded, match="radius 1 may hold 416 entries, above the guard of 384"):
+        tw.conjugate_growth_profile(growing, 1, size_guard=384)
+    assert tw.conjugate_growth_profile(growing, 1, size_guard=416) == (1, 13)
 
 
 def test_conjugate_growth_monotone_everywhere(tw: Tower):
@@ -271,6 +273,15 @@ def test_block_words_in_lex_order_and_memoized(tw: Tower):
             tw.h(n, (1, 0, 0)), tw.h(n, (0, 1, 0)), tw.h(n, (0, 0, 1))
         )
     assert Tower(tw.primes).block(1) is not tw.block(1)
+
+
+def test_a_tower_keeps_only_the_last_block_built():
+    tw = Tower(PRIMES)
+    first = tw.block(1)
+    assert tw.block(1) is first
+    tw.block(2)  # releases block 1
+    again = tw.block(1)
+    assert again is not first and again == first
 
 
 def _linear_powers(tw: Tower, atom, count: int) -> list:
