@@ -1,6 +1,7 @@
 """Configured sequences of distinct primes indexing the mod-p coordinate blocks."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -58,6 +59,13 @@ class PrimeSeq:
     primes: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        primes = []
+        for p in self.primes:
+            try:
+                primes.append(operator.index(p))  # plain ints, np.int64 included
+            except TypeError:
+                raise ValueError(f"primes must be integers, got {p!r}") from None
+        object.__setattr__(self, "primes", tuple(primes))
         if not self.primes:
             raise ValueError("prime sequence must be nonempty")
         for p in self.primes:

@@ -394,7 +394,8 @@ def _fourier_checks(config: SuiteConfig) -> list:
 
 
 # ----------------------------------------------------------------------
-# xi: overlaps, exact invariance, violation probes; each row builds block n's words
+# xi: overlaps, exact invariance, violation probes; each row is charged for
+# block n's words, which `xi` and `block_stabilized` build
 def _identity_overlap(ctx: _Context, n: int):
     tower = ctx.tower
     p = tower.primes.p(n)

@@ -4,12 +4,14 @@ A vector is a `GroupAlgebraElement`: a finitely supported combination
 of words, read through its `inner`, `norm_squared` and `support` rather
 than its convolution.
 Basis vectors are indexed by canonical words (`GroupAlgebraElement`
-stores each key as its `Tower.key`), and conjugation relabels any
+stores each key as its `Tower.key`; sums and scales of such elements
+keep their keys and are not keyed again), and conjugation relabels any
 support injectively.  The uniform block vectors produced by `xi` are
 fixed by every conjugation that normalizes their block, which
 `check_xi_invariance` verifies exactly: all coefficients of a uniform
 vector are equal, so invariance reduces to key-set equality under an
-injective relabeling.
+injective relabeling, decided on point codes that one walk of the
+conjugator's factors moves together.
 Norm comparisons are decided on exact squared sums whenever the
 coefficients are rational.
 """
@@ -22,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from .fourier import GroupAlgebraElement
-from .semidirect import codes
 from .words import GroupWord, Tower
 
 __all__ = [
@@ -83,7 +84,9 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
     the claimed range" from a genuine failure.  Because all coefficients
     of xi(n) are equal and conjugation relabels injectively, invariance is
     exactly key-set equality: every conjugate is a coordinate element of
-    block n, and their point codes cover the whole block.
+    block n, and their point codes cover the whole block.  One walk over
+    g's factors moves all p^3 point codes at once (`Tower._conj_codes`);
+    no block word is built.
     """
     if cutoff < 0:
         raise InvarianceDomainError(f"invariance is only claimed for cutoff >= 0, got {cutoff}")
@@ -93,14 +96,9 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
         )
     if not tower.in_gn(g, cutoff):
         raise ValueError(f"conjugator must lie at level <= {cutoff}, got level {g.level}")
-    moved = []
-    for k in tower.block(n):
-        image = tower.conj(k, g)
-        if not (tower.in_k(image) and image.g0.k.support in ((), (n,))):
-            return False
-        moved.append(image.g0.k.block(n))
-    p = tower.primes.p(n)
-    return np.array_equal(np.sort(codes(moved, p)), np.arange(p**3))
+    points = np.arange(tower.primes.cube(n))
+    moved = tower._conj_codes(n, g, points)
+    return moved is not None and np.array_equal(np.sort(moved), points)
 
 
 def block_stabilized(tower: Tower, n: int, g: GroupWord) -> bool:

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from amalgam.primes import PrimeSeq, as_prime_seq, is_prime, next_prime
+from amalgam.suites import SuiteConfig
 from amalgam.words import Tower
 from timelimit import time_limit
 
@@ -66,6 +70,18 @@ def test_rejects_composite_and_duplicates():
         PrimeSeq.parse("2,4")
     with pytest.raises(ValueError, match="distinct"):
         PrimeSeq.parse("2,3,3")
+
+
+def test_primes_are_plain_integers():
+    seq = PrimeSeq((np.int64(2), np.int32(3)))
+    assert seq.primes == (2, 3) and all(type(p) is int for p in seq.primes)
+    for bad, entry in (((2.0, 3.0), "2.0"), ((2, 3.5), "3.5"), (("2",), "'2'"),
+                       ((2, Fraction(3)), "Fraction(3, 1)")):
+        with pytest.raises(ValueError, match=re.escape(f"primes must be integers, got {entry}")):
+            PrimeSeq(bad)
+    # refused as configuration, not as a failure of every orbits row
+    with pytest.raises(ValueError, match="primes must be integers, got 2.0"):
+        SuiteConfig(primes=[2.0, 3.0])
 
 
 def test_unconfigured_index_raises():

@@ -4,7 +4,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from amalgam.fourier import GroupAlgebraElement
 from amalgam.primes import PrimeSeq
@@ -121,22 +124,72 @@ def test_check_xi_invariance_refuses_a_negative_cutoff():
 
 def test_check_xi_invariance_rejects_broken_conjugation(monkeypatch):
     # Within its domain the check always holds, so each way it can fail is
-    # shown with a substituted conjugation: one leaving the lattice, one
-    # leaving block n, one spanning two blocks, one not onto the block
+    # shown with a substituted walk over the block's point codes: one where
+    # a conjugate leaves block n (the walk stops), one not onto the block
     tower = Tower(PRIMES)
     n, g = 2, tower.stable(1)
-    block = tower.block(n)
-    moved = {
-        "lattice": tower.stable(1),
-        "block": tower.h(n - 1, (1, 0, 0)),
-        "span": tower.k_vector({n: (0, 0, 1), n + 1: (1, 0, 0)}),  # block n part is block[1]
-        "onto": block[2],
+    walks = {
+        "leaves": lambda self, n, h, points: None,
+        "onto": lambda self, n, h, points: np.where(points == 1, 2, points),
     }
-    for label, image in moved.items():
-        monkeypatch.setattr(Tower, "conj", lambda self, k, g: image if k is block[1] else k)
+    for label, walk in walks.items():
+        monkeypatch.setattr(Tower, "_conj_codes", walk)
         assert not check_xi_invariance(tower, 1, n, g), label
-    monkeypatch.setattr(Tower, "conj", lambda self, k, g: block[-1 - block.index(k)])
+    monkeypatch.setattr(Tower, "_conj_codes", lambda self, n, h, points: points[::-1])
     assert check_xi_invariance(tower, 1, n, g)  # a relabelling onto the block
+
+
+def test_check_xi_invariance_builds_no_words(monkeypatch):
+    # one walk over point codes: no block of words, no per-word conjugation
+    tower = Tower(PRIMES)
+    g = tower.mul(tower.stable(1), tower.lam(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+
+    def refuse(*args):
+        raise AssertionError("check_xi_invariance built words")
+
+    monkeypatch.setattr(Tower, "block", refuse)
+    monkeypatch.setattr(Tower, "conj", refuse)
+    assert check_xi_invariance(tower, 1, 4, g)
+    assert check_xi_invariance(tower, 1, 2, tower.stable(1))
+
+
+# Sums, differences and scales of elements with keys above level 0 keep
+# those keys: each is the element the public constructor builds from the
+# operands' merged coefficients, and every stored key is its own key
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2),
+       st.sampled_from((0, 1, -1, Fraction(2, 3), Fraction(-5, 7))))
+def test_keyed_arithmetic_is_built_arithmetic(tw: Tower, seed: int, cutoff: int, factor):
+    sampler = Sampler(tw, seed=seed)
+    g = tw.mul(tw.stable(cutoff + 1), sampler.word(2, level_cap=cutoff))
+    y = sampler.lattice_vector(range(4), size=6).add(delta(tw, tw.h(0, (1, 0, 0))))
+    z = sampler.lattice_vector(range(4), size=6)
+    a, b = adjoint_apply(g, y), adjoint_apply(g, y.add(z))
+    if cutoff:
+        assert any(w.level for w in a.coeffs)
+
+    def merged(*parts):
+        out = {}
+        for part in parts:
+            for w, c in part.items():
+                out[w] = out[w] + c if w in out else c
+        return out
+
+    negated = {w: -c for w, c in b.coeffs.items()}
+    cases = (
+        (a.add(b), merged(a.coeffs, b.coeffs)),
+        (a.sub(b), merged(a.coeffs, negated)),
+        (a.add(y), merged(a.coeffs, y.coeffs)),
+        (a.scale(factor), {w: factor * c for w, c in a.coeffs.items()}),
+        (a.sub(a), {}),
+        (a.add(a.scale(-1)), {}),
+    )
+    for got, raw in cases:
+        want = GroupAlgebraElement(tw, raw)
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert all(tw.key(w) is w for w in got.coeffs)
+    assert a.scale(0).support_size == a.sub(a).support_size == 0
 
 
 def test_block_stabilized_matches_full_check(tw: Tower):

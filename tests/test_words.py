@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, LambdaMatri
 from amalgam.orbits import SizeGuardExceeded
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
-from amalgam.semidirect import G0Element, KVector, block_points
+from amalgam.semidirect import G0Element, KVector, block_points, codes
 from amalgam.words import GroupWord, Tower, _word
 from timelimit import time_limit
 
@@ -475,6 +476,32 @@ def test_conj_of_a_lattice_element_that_stays_in_k_skips_the_engine():
     image = tw.conj(g, h)
     assert not calls
     assert image == tw.mul(tw.mul(h, g), tw.inv(h)) == tw.h(2, (2, 1, 0))
+
+
+def test_conj_codes_is_conj_on_every_point_of_a_block():
+    # the array walk against per-word conjugation: equal codes wherever
+    # every conjugate stays in block n, and None exactly where one leaves
+    tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
+    sampler = Sampler(tw, seed=23)
+    conjugators = [tw.identity(), tw.stable(1), tw.stable(3, -1)]
+    for level in range(4):
+        for i in range(5):
+            conjugators.append(sampler.reduced_word(level, syllables=1 + i % 2) if level and i % 2
+                               else sampler.word(2 + i, level_cap=level, block_cap=5))
+    outcomes = set()
+    for h in conjugators:
+        for n in range(5):
+            p = tw.primes.p(n)
+            images = [tw.conj(k, h) for k in tw.block(n)]
+            left = any(not (tw.in_k(w) and w.g0.k.support in ((), (n,))) for w in images)
+            walked = tw._conj_codes(n, h, np.arange(p**3))
+            if left:
+                assert walked is None, (h, n)
+            else:
+                assert walked.tolist() == codes([w.g0.k.block(n) for w in images], p).tolist(), (h, n)
+            assert tw._conj_codes(n, h, np.zeros(1, dtype=np.int64)).tolist() == [0]
+            outcomes.add(left)
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("predicate, answer", [
