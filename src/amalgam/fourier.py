@@ -102,9 +102,7 @@ class GroupAlgebraElement:
     tower.  A key above level 0 is stored as its `Tower.key`, and keys of
     one element merge, the later coefficients added to the first in
     insertion order, so the element is a function on the group, not on
-    words; level-0 words are canonical already.  `add`, `scale` and `sub`
-    combine keys their operands hold already, so their results are built
-    by `_keyed`, which only drops zeros and keys nothing again.
+    words; level-0 words are canonical already.
     """
 
     tower: Tower = field(repr=False)
@@ -189,10 +187,10 @@ class GroupAlgebraElement:
         for w, c in other.coeffs.items():
             prev = out.get(w)
             out[w] = c if prev is None else prev + c
-        return _keyed(self.tower, out)
+        return GroupAlgebraElement(self.tower, out)
 
     def scale(self, factor) -> "GroupAlgebraElement":
-        return _keyed(self.tower, {w: factor * c for w, c in self.coeffs.items()})
+        return GroupAlgebraElement(self.tower, {w: factor * c for w, c in self.coeffs.items()})
 
     def sub(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self.add(other.scale(-1))
@@ -223,14 +221,6 @@ class GroupAlgebraElement:
     def equals(self, other: "GroupAlgebraElement") -> bool:
         """Coefficientwise equality (every key is canonical)."""
         return self.coeffs == other.coeffs
-
-
-def _keyed(tower: Tower, coeffs: dict) -> GroupAlgebraElement:
-    """Build an element whose keys are keys already, dropping zeros only."""
-    out = object.__new__(GroupAlgebraElement)
-    out.tower = tower
-    out.coeffs = {w: c for w, c in coeffs.items() if c != 0}
-    return out
 
 
 def _single_block(tower: Tower, words) -> int | None:

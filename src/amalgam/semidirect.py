@@ -18,9 +18,7 @@ triple (a, b, c) mod p has code (a*p + b)*p + c, its index in
 lexicographic order, and a point of a product of blocks has the
 mixed-radix code of its per-block codes, again its lexicographic index.
 `block_points`/`point_array` decode, `codes` encodes, and `image_table`
-gives the matrix action on one block as a permutation of codes; it
-serves the orbit search, the intertwining check and `Tower._conj_codes`,
-the walk that conjugates every point of a block at once.
+gives the matrix action on one block as a permutation of codes.
 """
 from __future__ import annotations
 

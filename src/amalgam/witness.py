@@ -4,8 +4,7 @@ A vector is a `GroupAlgebraElement`: a finitely supported combination
 of words, read through its `inner`, `norm_squared` and `support` rather
 than its convolution.
 Basis vectors are indexed by canonical words (`GroupAlgebraElement`
-stores each key as its `Tower.key`; sums and scales of such elements
-keep their keys and are not keyed again), and conjugation relabels any
+stores each key as its `Tower.key`), and conjugation relabels any
 support injectively.  The uniform block vectors produced by `xi` are
 fixed by every conjugation that normalizes their block, which
 `check_xi_invariance` verifies exactly: all coefficients of a uniform

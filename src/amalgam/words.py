@@ -57,8 +57,8 @@ reduced word of level >= 1 never lies in G_0, the engine would have
 returned that same canonical word.  A vector that leaves the glued
 subgroup before a stable power is crossed goes back to the engine.
 `Tower._conj_codes` takes the same walk once for a whole array of
-block-n point codes, each matrix applied as its `semidirect.image_table`,
-and builds no word.
+block-n point codes, each matrix applied to the decoded points, and
+builds no word and fills no cache.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ from .matrices import (
 )
 from .orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded
 from .primes import PrimeSeq
-from .semidirect import G0Element, KVector, ZERO_K, _g0, _kvec, image_table
+from .semidirect import G0Element, KVector, ZERO_K, _g0, _kvec, codes
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
@@ -422,25 +422,31 @@ class Tower:
                 return None
         return self._conj_k(k, factors[0])
 
-    def _conj_codes(self, n: int, h: GroupWord, codes: np.ndarray) -> np.ndarray | None:
+    def _conj_codes(self, n: int, h: GroupWord, points: np.ndarray) -> np.ndarray | None:
         """`_conj_k` over an array of block-n point codes: the codes of the
         vectors h k h^{-1}, or None once one of them leaves K.
 
-        A matrix maps block n onto itself (`semidirect.image_table`).  A
-        stable syllable at level L fixes every block-n vector when n >= L-1
-        and carries every nonzero one out of K otherwise, so one walk over
-        h's factors, innermost first, serves the whole array.  Every inner
+        A matrix maps block n onto itself: the codes are decoded, moved and
+        encoded again, with no table kept past the call.  A stable syllable
+        at level L fixes every block-n vector when n >= L-1 and carries
+        every nonzero one out of K otherwise, so one walk over h's factors,
+        innermost first, serves the whole array.  Every inner
         factor lies below level L, so once the top level passes, no inner
         walk stops.
         """
         if h.level == 0:
             lam = h.g0.lam
-            return codes if lam.rows == _ID_ROWS else image_table(self.primes.primes[n], lam)[codes]
-        if n < h.level - 1 and codes.any():
+            if lam.rows == _ID_ROWS:
+                return points
+            p = self.primes.primes[n]
+            high, c = np.divmod(points, p)
+            triples = np.stack((high // p, high % p, c), axis=-1)
+            return codes((triples @ np.array(lam.mod(p), dtype=np.int64).T) % p, p)
+        if n < h.level - 1 and points.any():
             return None
         for x in reversed(h.factors):
-            codes = self._conj_codes(n, x, codes)
-        return codes
+            points = self._conj_codes(n, x, points)
+        return points
 
     def eq(self, a: GroupWord, b: GroupWord) -> bool:
         """Element equality: the two words have the same key."""

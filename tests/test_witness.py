@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from amalgam import semidirect
 from amalgam.fourier import GroupAlgebraElement
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
@@ -140,7 +141,8 @@ def test_check_xi_invariance_rejects_broken_conjugation(monkeypatch):
 
 
 def test_check_xi_invariance_builds_no_words(monkeypatch):
-    # one walk over point codes: no block of words, no per-word conjugation
+    # one walk over point codes: no block of words, no per-word conjugation,
+    # and nothing left in the process-wide per-prime caches
     tower = Tower(PRIMES)
     g = tower.mul(tower.stable(1), tower.lam(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
 
@@ -149,8 +151,11 @@ def test_check_xi_invariance_builds_no_words(monkeypatch):
 
     monkeypatch.setattr(Tower, "block", refuse)
     monkeypatch.setattr(Tower, "conj", refuse)
+    caches = (semidirect.block_points, semidirect.point_array, semidirect.image_table)
+    calls = [c.cache_info()[:2] for c in caches]
     assert check_xi_invariance(tower, 1, 4, g)
     assert check_xi_invariance(tower, 1, 2, tower.stable(1))
+    assert [c.cache_info()[:2] for c in caches] == calls
 
 
 # Sums, differences and scales of elements with keys above level 0 keep
