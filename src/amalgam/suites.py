@@ -394,8 +394,10 @@ def _fourier_checks(config: SuiteConfig) -> list:
 
 
 # ----------------------------------------------------------------------
-# xi: overlaps, exact invariance, violation probes; each row is charged for
-# block n's words, which `xi` and `block_stabilized` build
+# xi: overlaps, exact invariance, violation probes; a row is charged for the
+# words it holds: block n's, which `xi` builds and `check_xi_invariance`
+# moves as point codes, or else the conjugators it tests with
+# `block_stabilized`, which builds none
 def _identity_overlap(ctx: _Context, n: int):
     tower = ctx.tower
     p = tower.primes.p(n)
@@ -468,25 +470,30 @@ def _violation_search(ctx: _Context, cutoff: int, n: int):
     return _verdict(moved and expected), {"witness": g.format()}
 
 
+def _letters(config: SuiteConfig, cutoff: int, block_cap: int = 3) -> int:
+    # at most len(tower.alphabet(cutoff, block_cap)): matrices, stable letters, +-units
+    return len(ELEMENTARY_GENERATORS) + 2 * cutoff + 6 * min(block_cap, len(config.primes))
+
+
 def _xi_checks(config: SuiteConfig) -> list:
-    rows = [("identity-overlap", {"n": n}, _identity_overlap) for n in range(4)]
+    rows = [("identity-overlap", {"n": n}, _identity_overlap, _cube(config, n)) for n in range(4)]
     for cutoff in range(min(3, config.level + 1)):
+        letters, core = _letters(config, cutoff), _letters(config, cutoff, block_cap=0)
         for n in (cutoff + 1, cutoff + 2):
             params = {"cutoff": cutoff, "n": n}
             rows += [
-                ("invariance-letters", params, _invariance_letters),
-                ("invariance-length-2", params, _invariance_length_2),
-                ("invariance-core-length-3", params, _invariance_core_length_3),
-                ("invariance-random-length-4", params, _invariance_random_length_4),
+                ("invariance-letters", params, _invariance_letters, _cube(config, n)),
+                ("invariance-length-2", params, _invariance_length_2, letters + 1),
+                ("invariance-core-length-3", params, _invariance_core_length_3,
+                 core + core**2 + 1),
+                ("invariance-random-length-4", params, _invariance_random_length_4, letters + 1),
             ]
-    rows += [
-        ("violation-search", {"cutoff": cutoff, "n": n}, _violation_search)
-        for cutoff in range(1, min(4, config.level + 1))
-        for n in (0, 1)
-        if n <= cutoff
-    ]
-    return [(check, params, fn, params["n"] + 1, WORD_ENTRIES * _cube(config, params["n"]))
-            for check, params, fn in rows]
+    for cutoff in range(1, min(4, config.level + 1)):
+        letters = _letters(config, cutoff)  # and their products, the radius-2 frontier
+        rows += [("violation-search", {"cutoff": cutoff, "n": n}, _violation_search,
+                  letters * (letters + 1)) for n in (0, 1)]
+    return [(check, params, fn, params["n"] + 1, WORD_ENTRIES * words)
+            for check, params, fn, words in rows]
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ fixed by every conjugation that normalizes their block, which
 `check_xi_invariance` verifies exactly: all coefficients of a uniform
 vector are equal, so invariance reduces to key-set equality under an
 injective relabeling, decided on point codes that one walk of the
-conjugator's factors moves together.
+conjugator's factors moves together.  `block_stabilized` asks the same
+question of the block's three unit vectors: one scalar walk of those
+factors, and no word built.
 Norm comparisons are decided on exact squared sums whenever the
 coefficients are rational.
 """
@@ -105,16 +107,13 @@ def block_stabilized(tower: Tower, n: int, g: GroupWord) -> bool:
 
     It suffices to conjugate the three unit vectors: if their conjugates
     land in the block, the conjugated subgroup they generate sits inside
-    a finite group of the same order, hence equals it.  Equivalent to
-    check_xi_invariance without the domain restriction.
+    a finite group of the same order, hence equals it.  One scalar walk
+    over g's factors moves all three (`Tower._conj_units`); every matrix
+    maps block n onto itself, so the test is whether the walk stays in K,
+    and no word is built.  Equivalent to check_xi_invariance without the
+    domain restriction.
     """
-    block = tower.block(n)
-    p = tower.primes.p(n)
-    for unit in (block[p * p], block[p], block[1]):
-        image = tower.conj(unit, g)
-        if not (tower.in_k(image) and image.g0.k.support in ((), (n,))):
-            return False
-    return True
+    return tower._conj_units(n, g) is not None
 
 
 def search_invariance_violation(

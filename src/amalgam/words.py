@@ -56,9 +56,10 @@ vector is moved factor by factor and wrapped as a level-0 word.  Since a
 reduced word of level >= 1 never lies in G_0, the engine would have
 returned that same canonical word.  A vector that leaves the glued
 subgroup before a stable power is crossed goes back to the engine.
-`Tower._conj_codes` takes the same walk once for a whole array of
-block-n point codes, each matrix applied to the decoded points, and
-builds no word and fills no cache.
+`Tower._conj_units` takes the same walk for block n alone, on its three
+unit vectors as triples mod p_n, and `Tower._conj_codes` applies the
+matrix that walk yields to a whole array of block-n point codes; neither
+builds a word or fills a cache.
 """
 from __future__ import annotations
 
@@ -78,12 +79,13 @@ from .matrices import (
 )
 from .orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded
 from .primes import PrimeSeq
-from .semidirect import G0Element, KVector, ZERO_K, _g0, _kvec, codes
+from .semidirect import G0Element, KVector, Triple, ZERO_K, _g0, _kvec, codes
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
 
 _set = object.__setattr__
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # block n's unit vectors, as triples
 
 
 class GroupWord(_Immutable):
@@ -422,31 +424,53 @@ class Tower:
                 return None
         return self._conj_k(k, factors[0])
 
+    def _conj_units(self, n: int, h: GroupWord) -> tuple[Triple, Triple, Triple] | None:
+        """`_conj_k` for block n alone: the block-n coordinates of h e h^{-1}
+        for the unit vectors e = (1,0,0), (0,1,0), (0,0,1), or None once
+        they leave K.
+
+        One scalar walk over h's factors, innermost first, carries the three
+        triples mod p_n: a level-0 factor's matrix moves each of them, and a
+        word at level L stops the walk when n < L-1, since its stable
+        syllables carry every nonzero block-n vector out of K (for n >= L-1
+        they fix the block).  Conjugation is linear on the block, so the
+        triples are the columns of the matrix it acts by.
+        """
+        p = self.primes.p(n)
+        units = _UNITS
+        pending = [h]
+        while pending:
+            x = pending.pop()
+            if x.level:
+                if n < x.level - 1:
+                    return None
+                pending += x.factors  # popped last first: innermost first
+            elif x.g0.lam.rows != _ID_ROWS:
+                lam = x.g0.lam
+                units = (lam.apply(units[0], p), lam.apply(units[1], p), lam.apply(units[2], p))
+        return units
+
     def _conj_codes(self, n: int, h: GroupWord, points: np.ndarray) -> np.ndarray | None:
         """`_conj_k` over an array of block-n point codes: the codes of the
         vectors h k h^{-1}, or None once one of them leaves K.
 
-        A matrix maps block n onto itself: the codes are decoded, moved and
-        encoded again, with no table kept past the call.  A stable syllable
-        at level L fixes every block-n vector when n >= L-1 and carries
-        every nonzero one out of K otherwise, so one walk over h's factors,
-        innermost first, serves the whole array.  Every inner
-        factor lies below level L, so once the top level passes, no inner
-        walk stops.
+        One `_conj_units` walk gives the matrix conjugation acts on block n
+        by; the codes are decoded, moved by it in one product and encoded
+        again, with no table kept past the call.  The zero vector never
+        leaves K, so an all-zero array comes back unchanged, and so does
+        any array when every matrix on the walk is the identity.
         """
-        if h.level == 0:
-            lam = h.g0.lam
-            if lam.rows == _ID_ROWS:
-                return points
-            p = self.primes.primes[n]
-            high, c = np.divmod(points, p)
-            triples = np.stack((high // p, high % p, c), axis=-1)
-            return codes((triples @ np.array(lam.mod(p), dtype=np.int64).T) % p, p)
-        if n < h.level - 1 and points.any():
+        if not points.any():
+            return points
+        units = self._conj_units(n, h)
+        if units is None:
             return None
-        for x in reversed(h.factors):
-            points = self._conj_codes(n, x, points)
-        return points
+        if units == _UNITS:
+            return points
+        p = self.primes.primes[n]
+        high, c = np.divmod(points, p)
+        triples = np.stack((high // p, high % p, c), axis=-1)
+        return codes((triples @ np.array(units, dtype=np.int64)) % p, p)
 
     def eq(self, a: GroupWord, b: GroupWord) -> bool:
         """Element equality: the two words have the same key."""

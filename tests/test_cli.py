@@ -202,13 +202,14 @@ def test_large_growth_radius_skips_the_rows_past_the_size_guard(capsys, tmp_path
 
 
 @pytest.mark.parametrize("args, guarded", [
-    (("xi", "--primes", "211,3,5,7,11", "--samples", "5"), 4),
+    (("xi", "--primes", "211,3,5,7,11", "--samples", "5"), 1),
     (("fourier", "--primes", "23"), 5),
 ], ids=["xi", "fourier"])
 def test_large_first_prime_runs_inside_two_gib(args, guarded):
     # block 0 mod 211 has 9.4M words and mod 23 a 148M-entry table: the
     # rows that build them are skips at the default guard, before anything
-    # is built, and every other row runs
+    # is built, and every other row runs (xi's block-0 violation searches
+    # test conjugators on three unit vectors, so only identity-overlap skips)
     result = run_bounded(("verify", *args), seconds=120, address_space=2 << 30)
     assert result.returncode == 0, result.stderr
     over = re.findall(r"\[SKIP\] .*\(holds \d+ entries, above the guard of 10000000\)",

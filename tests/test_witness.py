@@ -25,7 +25,7 @@ from amalgam.witness import (
     xi,
     xi_overlap_squared,
 )
-from amalgam.words import Tower
+from amalgam.words import GroupWord, Tower
 
 PRIMES = PrimeSeq.parse("2,3,5,7,11")
 
@@ -202,6 +202,52 @@ def test_block_stabilized_matches_full_check(tw: Tower):
     for _ in range(40):
         g = sampler.word(3, level_cap=1)
         assert block_stabilized(tw, 2, g) == check_xi_invariance(tw, 1, 2, g)
+
+
+def _three_conjugations(tower: Tower, n: int, g: GroupWord) -> bool:
+    # block_stabilized as first defined: conjugate block n's three unit
+    # words through `Tower.conj` and ask whether each lands in block n
+    block = tower.block(n)
+    p = tower.primes.p(n)
+    for unit in (block[p * p], block[p], block[1]):
+        image = tower.conj(unit, g)
+        if not (tower.in_k(image) and image.g0.k.support in ((), (n,))):
+            return False
+    return True
+
+
+def test_block_stabilized_is_three_conjugations(tw: Tower):
+    # sampled words at levels 0-3 against every block: both answers occur,
+    # so the sample holds conjugators whose walk stops
+    sampler = Sampler(tw, seed=53)
+    answers = set()
+    for level in range(4):
+        words = [sampler.word(1 + i % 5, level_cap=level, block_cap=5) for i in range(15)]
+        if level:
+            words += [sampler.reduced_word(level, syllables=1 + i % 3) for i in range(5)]
+        for g in words:
+            for n in range(5):
+                got = block_stabilized(tw, n, g)
+                assert got == _three_conjugations(tw, n, g), (g, n)
+                answers.add(got)
+    assert answers == {False, True}
+
+
+def test_block_stabilized_builds_no_words(monkeypatch):
+    # one walk over three unit triples: no block of words, no unit word and
+    # no per-word conjugation
+    tower = Tower(PRIMES)
+    shear = tower.lam(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    g = tower.mul(tower.stable(2), shear)
+
+    def refuse(*args):
+        raise AssertionError("block_stabilized built words")
+
+    for name in ("block", "conj", "h"):
+        monkeypatch.setattr(Tower, name, refuse)
+    assert block_stabilized(tower, 1, g)
+    assert block_stabilized(tower, 0, shear)
+    assert not block_stabilized(tower, 0, g)
 
 
 def test_block_stabilized_detects_movement(tw: Tower):

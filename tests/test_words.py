@@ -478,18 +478,23 @@ def test_conj_of_a_lattice_element_that_stays_in_k_skips_the_engine():
     assert image == tw.mul(tw.mul(h, g), tw.inv(h)) == tw.h(2, (2, 1, 0))
 
 
-def test_conj_codes_is_conj_on_every_point_of_a_block():
-    # the array walk against per-word conjugation: equal codes wherever
-    # every conjugate stays in block n, and None exactly where one leaves
-    tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
+def _block_conjugators(tw: Tower) -> list[GroupWord]:
+    # 23 conjugators at levels 0-3, some of whose walks stop on low blocks
     sampler = Sampler(tw, seed=23)
     conjugators = [tw.identity(), tw.stable(1), tw.stable(3, -1)]
     for level in range(4):
         for i in range(5):
             conjugators.append(sampler.reduced_word(level, syllables=1 + i % 2) if level and i % 2
                                else sampler.word(2 + i, level_cap=level, block_cap=5))
+    return conjugators
+
+
+def test_conj_codes_is_conj_on_every_point_of_a_block():
+    # the array walk against per-word conjugation: equal codes wherever
+    # every conjugate stays in block n, and None exactly where one leaves
+    tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
     outcomes = set()
-    for h in conjugators:
+    for h in _block_conjugators(tw):
         for n in range(5):
             p = tw.primes.p(n)
             images = [tw.conj(k, h) for k in tw.block(n)]
@@ -500,6 +505,25 @@ def test_conj_codes_is_conj_on_every_point_of_a_block():
             else:
                 assert walked.tolist() == codes([w.g0.k.block(n) for w in images], p).tolist(), (h, n)
             assert tw._conj_codes(n, h, np.zeros(1, dtype=np.int64)).tolist() == [0]
+            outcomes.add(left)
+    assert outcomes == {False, True}
+
+
+def test_conj_units_is_conj_of_the_unit_vectors():
+    # the scalar walk against per-word conjugation of block n's three unit
+    # vectors: None exactly where one conjugate leaves block n, and otherwise
+    # their block-n coordinates, in order
+    tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
+    outcomes = set()
+    for h in _block_conjugators(tw):
+        for n in range(5):
+            images = [tw.conj(tw.h(n, e), h) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            left = any(not (tw.in_k(w) and w.g0.k.support == (n,)) for w in images)
+            units = tw._conj_units(n, h)
+            if left:
+                assert units is None, (h, n)
+            else:
+                assert units == tuple(w.g0.k.block(n) for w in images), (h, n)
             outcomes.add(left)
     assert outcomes == {False, True}
 
