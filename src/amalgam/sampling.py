@@ -2,6 +2,11 @@
 
 Every generator draws from one `random.Random` held by the `Sampler`, so
 a fixed seed reproduces the whole draw sequence bit-for-bit across runs.
+
+A lattice sample is one vector built from its drawn (block, triple) pairs,
+with the draws a product of per-block `Tower.h` words would take.  A bad
+lattice request (a repeated block, a nonzero element over no blocks, an
+escaping cutoff outside 1..len(primes)) raises `ValueError` before any draw.
 """
 from __future__ import annotations
 
@@ -90,21 +95,25 @@ class Sampler:
     # lattice elements
     def block_triple(self, block: int, nonzero: bool = False) -> tuple[int, int, int]:
         p = self.tower.primes.p(block)
+        randrange = self.rng.randrange
         while True:
-            coords = tuple(self.rng.randrange(p) for _ in range(3))
+            coords = (randrange(p), randrange(p), randrange(p))
             if not nonzero or any(coords):
                 return coords
 
     def lattice_word(self, blocks, nonzero: bool = False) -> GroupWord:
-        """Element of the base lattice supported inside the given blocks."""
-        tw = self.tower
-        w = tw.identity()
+        """Element of the base lattice supported inside the given distinct blocks:
+        each is kept with probability 0.7 and drawn a triple, in the given order."""
+        blocks = tuple(blocks)
+        if len(set(blocks)) != len(blocks):
+            raise ValueError(f"lattice blocks must be distinct, got {blocks}")
+        if nonzero and not blocks:
+            raise ValueError("a nonzero lattice element needs at least one block")
         picked = [b for b in blocks if self.rng.random() < 0.7]
         if nonzero and not picked:
-            picked = [self.rng.choice(list(blocks))]
-        for b in picked:
-            w = tw.mul(w, tw.h(b, self.block_triple(b, nonzero=nonzero)))
-        return w
+            picked = [self.rng.choice(blocks)]
+        items = [(b, self.block_triple(b, nonzero=nonzero)) for b in picked]
+        return self.tower._lattice(tuple(sorted(b for b in items if b[1] != (0, 0, 0))))
 
     def lattice_word_in(self, cutoff: int, width: int = 2) -> GroupWord:
         """Lattice element supported at or above the cutoff block."""
@@ -114,10 +123,12 @@ class Sampler:
     def lattice_word_escaping(self, cutoff: int, width: int = 2) -> GroupWord:
         """Lattice element with some support strictly below the cutoff block."""
         tw = self.tower
+        if not 1 <= cutoff <= len(tw.primes):
+            raise ValueError(f"cutoff must lie in 1..{len(tw.primes)}, got {cutoff}")
         low = self.rng.randrange(cutoff)
-        w = tw.h(low, self.block_triple(low, nonzero=True))
+        triple = self.block_triple(low, nonzero=True)
         high = self.lattice_word_in(cutoff, width)
-        return tw.mul(w, high)
+        return tw._lattice(((low, triple),) + high.g0.k.items)
 
     # ------------------------------------------------------------------
     # numbers and vectors

@@ -13,7 +13,8 @@ stable powers lying in the glued subgroup.  Such words are never the
 identity (r >= 1).  Products choose no coset transversal, so two reduced
 words may denote the same element.  `Tower.key` gives each element one
 word, keeping only blocks below L-1 in each inner factor's last level-0
-part (Lyndon-Schupp IV.2; Serre, Trees I.1); `Tower.eq` compares keys.
+part (Lyndon-Schupp IV.2; Serre, Trees I.1), and carrying the rest,
+lambda^-1 of its high blocks, into the next factor; `Tower.eq` compares keys.
 
 Every word the engine returns, and every `Tower.stable` letter, keeps one
 invariant: each non-identity factor except the last lies outside the
@@ -43,7 +44,8 @@ element grammar build their parts through the checking constructors, and
 `Tower.mul`/`inv`/`eq` (and so `conj`) and the membership predicates refuse
 words of a tower with other primes.  Results of arithmetic are built from
 such parts by the private trusted constructor `_word` without re-checking
-(see `matrices` for how trusted construction works).  A
+(see `matrices` for how trusted construction works), and sampled lattice
+vectors by `Tower._lattice`.  A
 product with an identity operand returns the other operand when it belongs
 to this tower: level-0 words are canonical and a word of a higher level
 is reduced when it is built, so this is the same element in the same
@@ -236,6 +238,11 @@ class Tower:
     def k_vector(self, blocks: dict[int, Iterable[int]]) -> GroupWord:
         """Pure coordinate element with several blocks."""
         return self.g0(G0Element(KVector.from_mapping(self.primes, blocks), IDENTITY_MATRIX))
+
+    def _lattice(self, items: tuple[tuple[int, Triple], ...]) -> GroupWord:
+        """Pure coordinate element of (block, triple) pairs sorted by block,
+        reduced and nonzero, built without re-checking (see `_word`)."""
+        return self.g0(_g0(_kvec(items), IDENTITY_MATRIX))
 
     def lam(self, matrix: LambdaMatrix | Sequence[Sequence[int]]) -> GroupWord:
         """Pure matrix element."""
@@ -487,7 +494,8 @@ class Tower:
 
         Each inner factor, times the carry in K_{L-1} from its left, has its
         key split as c * k (`_split`); c lies outside K_{L-1} as the factor
-        does, so a key is a reduced word, and k is the next carry.
+        does, so a key is a reduced word, and k, built in closed form, is the
+        next carry.
         """
         if w.tower is not self:
             self._check(w)
@@ -504,7 +512,10 @@ class Tower:
 
     def _split(self, y: GroupWord, cutoff: int) -> tuple[GroupWord, GroupWord]:
         """y = c * k for a key y, with k = c^-1 y in K_cutoff: c is y with its
-        innermost last level-0 factor (v, lambda) cut to v's blocks below the cutoff."""
+        innermost last level-0 factor (v, lambda) cut to v's blocks below the
+        cutoff.  With v = v_low + v_high split there, k is the closed form
+        (v_low, lambda)^-1 (v, lambda) = (lambda^-1 v_high, I): no product, no inverse.
+        """
         if y.level:
             c, k = self._split(y.factors[-1], cutoff)
             if c is not y.factors[-1]:
@@ -513,8 +524,12 @@ class Tower:
         items = y.g0.k.items
         if not items or items[-1][0] < cutoff:  # blocks are sorted by index
             return y, self._identity
-        c = self.g0(_g0(_kvec(tuple(b for b in items if b[0] < cutoff)), y.g0.lam))
-        return c, self.mul(self.inv(c), y)
+        lam = y.g0.lam
+        low = tuple(b for b in items if b[0] < cutoff)
+        high = _kvec(items[len(low):])
+        if lam.rows != _ID_ROWS:
+            high = high.act(lam.inverse(), self.primes)
+        return self.g0(_g0(_kvec(low), lam)), _word(self, 0, _g0(high, IDENTITY_MATRIX))
 
     def reduce(self, word: GroupWord | Iterable[GroupWord]) -> GroupWord:
         """Reduce a raw word (a sequence of already-built syllables or a word)."""

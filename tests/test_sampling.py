@@ -3,6 +3,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
+from amalgam.fourier import GroupAlgebraElement
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
 from amalgam.words import Tower
@@ -95,3 +98,101 @@ def test_lattice_vector_is_lattice_supported():
     v = s.lattice_vector((0, 1), size=5)
     assert v.support_size > 0
     assert all(TOWER.in_k(w) for w in v.support)
+
+
+# The per-block construction the samplers replaced, one `Tower.h` and one
+# `Tower.mul` per kept block, drawing from the sampler's rng in the same
+# order: the reference for the one-vector lattice samplers.
+def _ref_triple(s: Sampler, block: int, nonzero: bool = False):
+    p = s.tower.primes.p(block)
+    while True:
+        coords = tuple(s.rng.randrange(p) for _ in range(3))
+        if not nonzero or any(coords):
+            return coords
+
+
+def _ref_lattice_word(s: Sampler, blocks, nonzero: bool = False):
+    tw = s.tower
+    w = tw.identity()
+    picked = [b for b in blocks if s.rng.random() < 0.7]
+    if nonzero and not picked:
+        picked = [s.rng.choice(list(blocks))]
+    for b in picked:
+        w = tw.mul(w, tw.h(b, _ref_triple(s, b, nonzero=nonzero)))
+    return w
+
+
+def _ref_lattice_word_in(s: Sampler, cutoff: int, width: int = 2):
+    return _ref_lattice_word(s, range(cutoff, min(cutoff + width, len(s.tower.primes))))
+
+
+def _ref_lattice_word_escaping(s: Sampler, cutoff: int, width: int = 2):
+    tw = s.tower
+    low = s.rng.randrange(cutoff)
+    w = tw.h(low, _ref_triple(s, low, nonzero=True))
+    return tw.mul(w, _ref_lattice_word_in(s, cutoff, width))
+
+
+def _ref_lattice_vector(s: Sampler, blocks, size: int = 4):
+    coeffs = {}
+    for _ in range(size):
+        w = _ref_lattice_word(s, blocks)
+        coeffs[w] = coeffs.get(w, 0) + Fraction(s.rng.randint(-9, 9), s.rng.randint(1, 9))
+    return GroupAlgebraElement(s.tower, coeffs)
+
+
+@pytest.mark.parametrize("primes", ["2,3,5", None], ids=["2,3,5", "default"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_samplers_match_the_per_block_products(primes, seed):
+    tw = Tower(PrimeSeq.parse(primes) if primes else None)
+    new, ref = Sampler(tw, seed=seed), Sampler(tw, seed=seed)
+
+    def same(got, expected):
+        assert got == expected and got.format() == expected.format()
+        assert got.is_identity == expected.is_identity
+        assert new.rng.getstate() == ref.rng.getstate()
+
+    kinds = set()
+    for _ in range(25):
+        for blocks in ((0, 1), range(3)):
+            for nonzero in (False, True):
+                w = new.lattice_word(blocks, nonzero=nonzero)
+                same(w, _ref_lattice_word(ref, blocks, nonzero=nonzero))
+                kinds.add(len(w.g0.k.items))
+            got, expected = new.lattice_vector(blocks), _ref_lattice_vector(ref, blocks)
+            assert list(got.coeffs.items()) == list(expected.coeffs.items())
+            assert new.rng.getstate() == ref.rng.getstate()
+        for cutoff in (1, 2, 3):
+            same(new.lattice_word_in(cutoff), _ref_lattice_word_in(ref, cutoff))
+            same(new.lattice_word_escaping(cutoff), _ref_lattice_word_escaping(ref, cutoff))
+    assert kinds == {0, 1, 2, 3}  # the identity and one, two and three blocks all occur
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.lattice_word_escaping(0),
+        lambda s: s.lattice_word_escaping(-1),
+        lambda s: s.lattice_word_escaping(len(PRIMES) + 1),
+        lambda s: s.lattice_word((), nonzero=True),
+        lambda s: s.lattice_word((1, 1)),
+        lambda s: s.lattice_word((0, 2, 0), nonzero=True),
+        lambda s: s.lattice_vector((2, 2)),
+    ],
+    ids=["escaping-0", "escaping-negative", "escaping-past-primes", "nonzero-no-blocks",
+         "repeated-block", "repeated-block-nonzero", "vector-repeated-block"],
+)
+def test_bad_lattice_requests_raise_before_any_draw(call):
+    s = Sampler(TOWER, seed=12)
+    state = s.rng.getstate()
+    with pytest.raises(ValueError, match="cutoff must lie|needs at least one block|distinct"):
+        call(s)
+    assert s.rng.getstate() == state
+
+
+def test_escaping_accepts_every_cutoff_up_to_the_prime_count():
+    s = Sampler(TOWER, seed=13)
+    for cutoff in range(1, len(PRIMES) + 1):
+        w = s.lattice_word_escaping(cutoff)
+        assert TOWER.in_k(w) and not TOWER.in_kn(w, cutoff)
+    assert s.lattice_word((), nonzero=False).is_identity

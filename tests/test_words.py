@@ -738,3 +738,52 @@ def test_junction_splice_matches_the_token_engine(seed: int):
             for x in (a, b, undo):
                 inverse, expected = tw.inv(x), ref.inv(x)
                 assert inverse == expected and inverse.format() == expected.format(), x
+
+
+class _ProductCarryTower(Tower):
+    """`Tower._split` with the carry taken as the product c^-1 * y, the
+    reference for its closed form (lambda^-1 v_high, I)."""
+
+    def _split(self, y, cutoff):
+        if y.level:
+            return super()._split(y, cutoff)
+        items = y.g0.k.items
+        if not items or items[-1][0] < cutoff:
+            return y, self.identity()
+        low = {n: c for n, c in items if n < cutoff}
+        c = self.g0(G0Element(KVector.from_mapping(self.primes, low), y.g0.lam))
+        return c, self.mul(self.inv(c), y)
+
+
+_MATRICES = [m for m in generator_ball(2) if not m.is_identity]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, len(PRIMES) - 1), st.tuples(*[st.integers(-6, 6)] * 3)),
+    st.sampled_from(_MATRICES),
+    st.integers(0, len(PRIMES)),
+)
+def test_split_carry_is_the_closed_form(blocks, lam, cutoff):
+    tw, ref = Tower(PRIMES), _ProductCarryTower(PRIMES)
+    y = tw.g0(G0Element(KVector.from_mapping(PRIMES, blocks), lam))
+    c, k = tw._split(y, cutoff)
+    assert tw.mul(c, k) == y
+    assert tw.in_kn(k, cutoff)
+    assert c.g0.lam == lam and all(n < cutoff for n in c.g0.k.support)
+    assert c.g0.k.items == tuple(b for b in y.g0.k.items if b[0] < cutoff)
+    assert (c, k) == ref._split(y, cutoff)
+
+
+def test_keys_match_the_product_carry():
+    tw, ref = Tower(PRIMES), _ProductCarryTower(PRIMES)
+    sampler = Sampler(tw, seed=43)
+    cuts = 0
+    for i in range(300):
+        level = 1 + i % 3
+        w = (sampler.reduced_word(level, syllables=1 + i % 3) if i % 2
+             else sampler.word(8, level_cap=level))
+        key = tw.key(w)
+        assert key == ref.key(w) and key.format() == ref.key(w).format()
+        cuts += key is not w
+    assert cuts > 20  # many of the words are not keys already
