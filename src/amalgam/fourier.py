@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, sqrt
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Mapping
 
 import numpy as np
 
 from .matrices import LambdaMatrix
-from .semidirect import block_points, image_table, point_array
+from .semidirect import codes, image_table, points
 from .words import GroupWord, Tower
 
 __all__ = [
@@ -58,7 +58,7 @@ _ROWS = 64  # left points per scatter in `_convolve_block`
 
 
 def _build_pairing(p: int) -> np.ndarray:
-    pts = point_array(p)
+    pts = points(np.arange(p**3), p)
     table = ((pts @ pts.T) % p).astype(np.min_scalar_type(p - 1))
     table.flags.writeable = False
     return table
@@ -79,7 +79,14 @@ def transform_matrix(p: int) -> np.ndarray:
 
 def _as_values(p: int, f) -> np.ndarray:
     if isinstance(f, Mapping):
-        return np.array([complex(f.get(pt, 0)) for pt in block_points(p)])
+        for pt in f:
+            if not (isinstance(pt, tuple) and len(pt) == 3
+                    and all(isinstance(x, Integral) and 0 <= x < p for x in pt)):
+                raise ValueError(f"key {pt!r} is not a point of a block mod {p}: "
+                                 f"need three integers in 0..{p - 1}")
+        values = np.zeros(p**3, dtype=complex)
+        values[codes(np.reshape(list(f), (-1, 3)), p)] = [complex(v) for v in f.values()]
+        return values
     arr = np.asarray(f, dtype=complex).reshape(-1)
     if arr.shape != (p**3,):
         raise ValueError(f"need {p**3} values for a block mod {p}, got {arr.shape}")
@@ -304,7 +311,9 @@ def _convolve_block(tower: Tower, n: int, left: list, right: list) -> dict | Non
 def fourier(tower: Tower, n: int, f) -> GroupAlgebraElement:
     """Function on block n -> coefficients on the group basis of that block.
 
-    `f` is a mapping triple -> value or an array over the lex point order.
+    `f` is an array over the lex point order, or a mapping from points
+    (triples of integers in 0..p-1) to values, zero at the points it leaves
+    out; a key that is not such a point raises ValueError.
     """
     p = tower.primes.p(n)
     values = _as_values(p, f)

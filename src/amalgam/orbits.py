@@ -20,7 +20,7 @@ import numpy as np
 
 from .matrices import ELEMENTARY_GENERATORS
 from .primes import PrimeSeq
-from .semidirect import block_points, product_image
+from .semidirect import Triple, points, product_image
 
 __all__ = [
     "OrbitPartition",
@@ -30,8 +30,6 @@ __all__ = [
     "partitions_agree",
     "fixed_point_dimension",
 ]
-
-Triple = tuple[int, int, int]
 
 DEFAULT_SIZE_GUARD = 10_000_000
 WORD_ENTRIES = 32  # entries a kept word counts as; words measured 27 to 100 entries' bytes
@@ -114,18 +112,16 @@ def _partition(
     indices: tuple[int, ...], ps: tuple[int, ...], label: np.ndarray, starts: Sequence[int]
 ) -> OrbitPartition:
     """The partition giving code c the block `label[c]`; block i's least code is `starts[i]`."""
-    representatives = []
-    for code in starts:  # mixed-radix digits, last block lowest
-        point = []
-        for p in reversed(ps):
-            code, c = divmod(code, p**3)
-            point.append(block_points(p)[c])
-        representatives.append(tuple(reversed(point)))
+    # one decode per block, of the digits of every least code at once
+    rest, blocks = np.asarray(starts, dtype=np.int64), []
+    for p in reversed(ps):  # mixed-radix digits, last block lowest
+        rest, c = np.divmod(rest, p**3)
+        blocks.insert(0, [tuple(x) for x in points(c, p).tolist()])
     return OrbitPartition(
         indices=indices,
         primes_used=ps,
         block_sizes=tuple(np.bincount(label).tolist()),
-        representatives=tuple(representatives),
+        representatives=tuple(tuple(b[i] for b in blocks) for i in range(len(starts))),
         labels=label,
     )
 

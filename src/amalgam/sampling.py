@@ -5,8 +5,10 @@ a fixed seed reproduces the whole draw sequence bit-for-bit across runs.
 
 A lattice sample is one vector built from its drawn (block, triple) pairs,
 with the draws a product of per-block `Tower.h` words would take.  A bad
-lattice request (a repeated block, a nonzero element over no blocks, an
-escaping cutoff outside 1..len(primes)) raises `ValueError` before any draw.
+lattice request (a block outside 0..len(primes)-1 or a repeated one, a
+nonzero element over no blocks, a cutoff outside 0..len(primes), or
+1..len(primes) for an escaping element, a width below 1) raises
+`ValueError` before any draw.
 """
 from __future__ import annotations
 
@@ -105,6 +107,9 @@ class Sampler:
         """Element of the base lattice supported inside the given distinct blocks:
         each is kept with probability 0.7 and drawn a triple, in the given order."""
         blocks = tuple(blocks)
+        count = len(self.tower.primes)
+        if not all(0 <= b < count for b in blocks):
+            raise ValueError(f"lattice blocks must lie in 0..{count - 1}, got {blocks}")
         if len(set(blocks)) != len(blocks):
             raise ValueError(f"lattice blocks must be distinct, got {blocks}")
         if nonzero and not blocks:
@@ -117,7 +122,12 @@ class Sampler:
 
     def lattice_word_in(self, cutoff: int, width: int = 2) -> GroupWord:
         """Lattice element supported at or above the cutoff block."""
-        blocks = range(cutoff, min(cutoff + width, len(self.tower.primes)))
+        count = len(self.tower.primes)
+        if not 0 <= cutoff <= count:
+            raise ValueError(f"cutoff must lie in 0..{count}, got {cutoff}")
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        blocks = range(cutoff, min(cutoff + width, count))
         return self.lattice_word(blocks)
 
     def lattice_word_escaping(self, cutoff: int, width: int = 2) -> GroupWord:
@@ -125,6 +135,8 @@ class Sampler:
         tw = self.tower
         if not 1 <= cutoff <= len(tw.primes):
             raise ValueError(f"cutoff must lie in 1..{len(tw.primes)}, got {cutoff}")
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
         low = self.rng.randrange(cutoff)
         triple = self.block_triple(low, nonzero=True)
         high = self.lattice_word_in(cutoff, width)

@@ -17,12 +17,13 @@ This module also owns the one integer encoding of block points: the
 triple (a, b, c) mod p has code (a*p + b)*p + c, its index in
 lexicographic order, and a point of a product of blocks has the
 mixed-radix code of its per-block codes, again its lexicographic index.
-`block_points`/`point_array` decode, `codes` encodes, and `image_table`
-gives the matrix action on one block as a permutation of codes.
+`codes` encodes and `points` decodes.  `image_table` gives the matrix
+action on one block as a permutation of codes, by linearity over the
+block's three axes; it is cached only for p <= 11, the primes whose
+pairing `fourier` caches, so no larger table outlives the row that built it.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -35,27 +36,15 @@ __all__ = [
     "KVector",
     "G0Element",
     "ZERO_K",
-    "block_points",
-    "point_array",
     "codes",
+    "points",
     "image_table",
     "product_image",
 ]
 
 Triple = tuple[int, int, int]
 
-@lru_cache(maxsize=None)
-def block_points(p: int) -> tuple[Triple, ...]:
-    """The p^3 coordinate triples of a block, in code (lexicographic) order."""
-    return tuple(itertools.product(range(p), repeat=3))
-
-
-@lru_cache(maxsize=None)
-def point_array(p: int) -> np.ndarray:
-    """`block_points(p)` as a read-only (p^3, 3) int64 array."""
-    pts = np.array(block_points(p), dtype=np.int64)
-    pts.flags.writeable = False
-    return pts
+_CACHED_POINTS = 11**3  # largest block whose image tables stay cached: p <= 11
 
 
 def codes(pts, p: int) -> np.ndarray:
@@ -64,13 +53,30 @@ def codes(pts, p: int) -> np.ndarray:
     return (pts[..., 0] * p + pts[..., 1]) * p + pts[..., 2]
 
 
-@lru_cache(maxsize=128)
-def image_table(p: int, g: LambdaMatrix) -> np.ndarray:
-    """Read-only permutation of codes sending each point x to g x mod p."""
-    rows = np.array(g.mod(p), dtype=np.int64)
-    table = codes((point_array(p) @ rows.T) % p, p)
+def points(codes, p: int) -> np.ndarray:
+    """The reduced triples of the given codes, on a new last axis of 3: `codes` inverted."""
+    high, c = np.divmod(np.asarray(codes, dtype=np.int64), p)
+    a, b = np.divmod(high, p)
+    return np.stack((a, b, c), axis=-1)
+
+
+def _build_image_table(p: int, g: LambdaMatrix) -> np.ndarray:
+    # g x = a g e_1 + b g e_2 + c g e_3, broadcast over the block's three axes
+    axes = np.ix_(*[np.arange(p)] * 3)
+    image = np.empty((3, p, p, p), dtype=np.int64)
+    for i, row in enumerate(g.mod(p)):
+        np.remainder(sum(m * x for m, x in zip(row, axes)), p, out=image[i])
+    table = codes(np.moveaxis(image, 0, -1), p).ravel()
     table.flags.writeable = False
     return table
+
+
+_cached_image_table = lru_cache(maxsize=128)(_build_image_table)
+
+
+def image_table(p: int, g: LambdaMatrix) -> np.ndarray:
+    """Read-only permutation of codes sending each point x to g x mod p."""
+    return (_cached_image_table if p**3 <= _CACHED_POINTS else _build_image_table)(p, g)
 
 
 def product_image(ps: Sequence[int], g: LambdaMatrix) -> np.ndarray:

@@ -8,11 +8,10 @@ stores each key as its `Tower.key`), and conjugation relabels any
 support injectively.  The uniform block vectors produced by `xi` are
 fixed by every conjugation that normalizes their block, which
 `check_xi_invariance` verifies exactly: all coefficients of a uniform
-vector are equal, so invariance reduces to key-set equality under an
-injective relabeling, decided on point codes that one walk of the
-conjugator's factors moves together.  `block_stabilized` asks the same
-question of the block's three unit vectors: one scalar walk of those
-factors, and no word built.
+vector are equal, so invariance reduces to the block being mapped onto
+itself, which `block_stabilized` decides.  Both make the one scalar walk
+of the conjugator's factors over the block's three unit vectors
+(`Tower._conj_units`), and build no word.
 Norm comparisons are decided on exact squared sums whenever the
 coefficients are rational.
 """
@@ -21,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .fourier import GroupAlgebraElement
 from .words import GroupWord, Tower
@@ -84,10 +81,12 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
     that raises InvarianceDomainError so callers can distinguish "outside
     the claimed range" from a genuine failure.  Because all coefficients
     of xi(n) are equal and conjugation relabels injectively, invariance is
-    exactly key-set equality: every conjugate is a coordinate element of
-    block n, and their point codes cover the whole block.  One walk over
-    g's factors moves all p^3 point codes at once (`Tower._conj_codes`);
-    no block word is built.
+    exactly key-set equality: the conjugates are the p^3 points of block n.
+    They lie in block n exactly when the walk of g's factors over its unit
+    vectors stays in K (`Tower._conj_units`, as in `block_stabilized`), and
+    then they cover it: every matrix on the walk lies in SL(3, Z), so the
+    block moves by a matrix of determinant 1 mod p_n, a permutation.  No
+    block word is built.
     """
     if cutoff < 0:
         raise InvarianceDomainError(f"invariance is only claimed for cutoff >= 0, got {cutoff}")
@@ -97,9 +96,7 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
         )
     if not tower.in_gn(g, cutoff):
         raise ValueError(f"conjugator must lie at level <= {cutoff}, got level {g.level}")
-    points = np.arange(tower.primes.cube(n))
-    moved = tower._conj_codes(n, g, points)
-    return moved is not None and np.array_equal(np.sort(moved), points)
+    return tower._conj_units(n, g) is not None
 
 
 def block_stabilized(tower: Tower, n: int, g: GroupWord) -> bool:

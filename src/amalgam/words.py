@@ -59,17 +59,14 @@ reduced word of level >= 1 never lies in G_0, the engine would have
 returned that same canonical word.  A vector that leaves the glued
 subgroup before a stable power is crossed goes back to the engine.
 `Tower._conj_units` takes the same walk for block n alone, on its three
-unit vectors as triples mod p_n, and `Tower._conj_codes` applies the
-matrix that walk yields to a whole array of block-n point codes; neither
-builds a word or fills a cache.
+unit vectors as triples mod p_n; by linearity their conjugates are the
+columns of the matrix conjugation acts on the whole block by.  It builds
+no word and fills no cache.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .matrices import (
     ELEMENTARY_GENERATORS,
@@ -81,7 +78,7 @@ from .matrices import (
 )
 from .orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded
 from .primes import PrimeSeq
-from .semidirect import G0Element, KVector, Triple, ZERO_K, _g0, _kvec, codes
+from .semidirect import G0Element, KVector, Triple, ZERO_K, _g0, _kvec, points
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
@@ -231,8 +228,8 @@ class Tower:
         """
         if n not in self._block_cache:
             self._block_cache.clear()
-            points = itertools.product(range(self.primes.p(n)), repeat=3)
-            self._block_cache[n] = tuple(self.h(n, x) for x in points)
+            p = self.primes.p(n)
+            self._block_cache[n] = tuple(self.h(n, x) for x in points(range(p**3), p).tolist())
         return self._block_cache[n]
 
     def k_vector(self, blocks: dict[int, Iterable[int]]) -> GroupWord:
@@ -456,28 +453,6 @@ class Tower:
                 lam = x.g0.lam
                 units = (lam.apply(units[0], p), lam.apply(units[1], p), lam.apply(units[2], p))
         return units
-
-    def _conj_codes(self, n: int, h: GroupWord, points: np.ndarray) -> np.ndarray | None:
-        """`_conj_k` over an array of block-n point codes: the codes of the
-        vectors h k h^{-1}, or None once one of them leaves K.
-
-        One `_conj_units` walk gives the matrix conjugation acts on block n
-        by; the codes are decoded, moved by it in one product and encoded
-        again, with no table kept past the call.  The zero vector never
-        leaves K, so an all-zero array comes back unchanged, and so does
-        any array when every matrix on the walk is the identity.
-        """
-        if not points.any():
-            return points
-        units = self._conj_units(n, h)
-        if units is None:
-            return None
-        if units == _UNITS:
-            return points
-        p = self.primes.primes[n]
-        high, c = np.divmod(points, p)
-        triples = np.stack((high // p, high % p, c), axis=-1)
-        return codes((triples @ np.array(units, dtype=np.int64)) % p, p)
 
     def eq(self, a: GroupWord, b: GroupWord) -> bool:
         """Element equality: the two words have the same key."""

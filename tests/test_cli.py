@@ -218,6 +218,15 @@ def test_large_first_prime_runs_inside_two_gib(args, guarded):
     assert result.stdout.splitlines()[-1].startswith("PASS:")
 
 
+def test_orbits_at_a_large_first_prime_runs_inside_384_mib():
+    # block 0 mod 101 has 1.03M points: each row builds its image tables
+    # per call, and no row keeps a table or a decoded block for the next
+    result = run_bounded(("verify", "orbits", "--primes", "101"), seconds=120,
+                         address_space=384 << 20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].startswith("PASS:")
+
+
 def test_verify_reports_deterministic(capsys, tmp_path):
     args = (
         "verify", "all", "--primes", "2,3", "--samples", "15", "--level", "2",

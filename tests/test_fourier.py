@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,7 +26,7 @@ from amalgam.fourier import (
 from amalgam.grammar import parse_element
 from amalgam.matrices import ELEMENTARY_GENERATORS, LambdaMatrix, elementary
 from amalgam.primes import PrimeSeq
-from amalgam.semidirect import G0Element, KVector, block_points, codes, image_table, point_array
+from amalgam.semidirect import G0Element, KVector, codes, image_table
 from amalgam.words import Tower
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +39,11 @@ def tw() -> Tower:
     return Tower(PRIMES)
 
 
+def _lex_points(p: int) -> list[tuple[int, int, int]]:
+    # a block's points in code order, independent of `semidirect.points`
+    return list(itertools.product(range(p), repeat=3))
+
+
 def _random_function(rng: random.Random, p: int) -> np.ndarray:
     return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(p**3)])
 
@@ -44,7 +51,7 @@ def _random_function(rng: random.Random, p: int) -> np.ndarray:
 def test_transform_matrix_inverts_against_characters():
     for p in (2, 3):
         F = transform_matrix(p)
-        pts = np.array(block_points(p))
+        pts = np.array(_lex_points(p))
         characters = np.exp(2j * np.pi * ((pts @ pts.T) % p) / p)
         assert np.max(np.abs(characters.T @ F - np.eye(p**3))) < TOL
 
@@ -55,7 +62,7 @@ def test_transform_tables_match_direct_formula():
     tower = Tower(PrimeSeq.parse("2,3,5,7,11"))
     rng = np.random.default_rng(3)
     for n, p in enumerate((2, 3, 5, 7, 11)):
-        pts = point_array(p)
+        pts = np.array(_lex_points(p))
         pairing = (pts @ pts.T) % p
         F = transform_matrix(p)
         for rows in range(0, p**3, 256):  # the formula in row chunks keeps memory small
@@ -73,7 +80,7 @@ def test_pairing_table_is_read_only_bounded_and_small(monkeypatch):
     fourier_module = importlib.import_module("amalgam.fourier")
     assert fourier_module._cached_pairing.cache_info().maxsize == fourier_module._TABLES <= 8
     for p in (2, 3, 5, 7):
-        pts = point_array(p)
+        pts = np.array(_lex_points(p))
         pairing = fourier_module._pairing(p)
         assert pairing is fourier_module._pairing(p)
         assert np.array_equal(pairing, (pts @ pts.T) % p)
@@ -125,6 +132,30 @@ def test_fourier_accepts_mapping_input(tw: Tower):
     assert el.equals(fourier(tw, 0, arr))
     with pytest.raises(ValueError, match="8 values"):
         fourier(tw, 0, np.zeros(7))
+
+
+def test_fourier_mapping_keys_must_be_points_of_the_block(tw: Tower):
+    # a mapping is placed on the codes of its keys: the same transform as
+    # the array it spells, and a key outside the block is refused by name
+    rng = random.Random(8)
+    for n in range(3):
+        p = PRIMES.p(n)
+        f = _random_function(rng, p)
+        kept = rng.sample(range(p**3), p)
+        arr = np.zeros(p**3, dtype=complex)
+        arr[kept] = f[kept]
+        mapping = {_lex_points(p)[c]: f[c] for c in kept}
+        assert fourier(tw, n, mapping).equals(fourier(tw, n, arr))
+    assert fourier(tw, 0, {}).equals(fourier(tw, 0, np.zeros(8)))
+    cases = [({(2, 0, 0): 1.0, (0, 0, 1): 2.0}, (2, 0, 0)),
+             ({(0, 0, 1): 2.0, (0, -1, 0): 1.0}, (0, -1, 0)),
+             ({(1, 0, 0, 0): 1.0}, (1, 0, 0, 0)),
+             ({(1, 0): 1.0}, (1, 0)),
+             ({(1.0, 0, 0): 1.0}, (1.0, 0, 0)),
+             ({"abc": 1.0}, "abc")]
+    for bad, first in cases:
+        with pytest.raises(ValueError, match=f"key {re.escape(repr(first))} is not a point"):
+            fourier(tw, 0, bad)
 
 
 def test_trace_is_mean_of_function(tw: Tower):
@@ -209,17 +240,15 @@ def test_action_permutation_is_permutation():
     # action point by point and composes like the matrices
     rng = np.random.default_rng(5)
     for p in (2, 3, 5, 7):
-        pts = point_array(p)
-        assert [tuple(x) for x in pts.tolist()] == list(block_points(p))
+        lex = _lex_points(p)
+        pts = np.array(lex)
         assert codes(pts, p).tolist() == list(range(p**3))
         sample = rng.integers(0, p, size=(50, 3))
         assert np.array_equal(pts[codes(sample, p)], sample)
         tables = {g: image_table(p, g) for g in ELEMENTARY_GENERATORS}
         for g, perm in tables.items():
             assert sorted(perm.tolist()) == list(range(p**3))
-            assert [block_points(p)[c] for c in perm.tolist()] == [
-                g.apply(x, p) for x in block_points(p)
-            ]
+            assert [lex[c] for c in perm.tolist()] == [g.apply(x, p) for x in lex]
             for h, other in tables.items():
                 assert np.array_equal(image_table(p, g * h), perm[other])
 
@@ -317,8 +346,8 @@ def test_mul_rejects_mismatched_towers(tw: Tower):
     with pytest.raises(ValueError, match="tower"):
         a.mul(b)
     # complex operands on one block each, which the block path must not take
-    a = GroupAlgebraElement(tw, {tw.h(0, x): 1j for x in block_points(2)})
-    b = GroupAlgebraElement(other, {other.h(0, x): 1j for x in block_points(2)})
+    a = GroupAlgebraElement(tw, {tw.h(0, x): 1j for x in _lex_points(2)})
+    b = GroupAlgebraElement(other, {other.h(0, x): 1j for x in _lex_points(2)})
     with pytest.raises(ValueError, match="tower"):
         a.mul(b)
 
@@ -368,7 +397,7 @@ def _counted_tower_mul(tower: Tower):
 def _random_block_element(rng: random.Random, tower: Tower, n: int, size: int, scale: int):
     p = tower.primes.p(n)
     coeffs = {}
-    for x in rng.sample(block_points(p), size):
+    for x in rng.sample(_lex_points(p), size):
         num = rng.randint(1, scale) * rng.choice((-1, 1))
         coeffs[tower.h(n, x)] = Fraction(num, rng.randint(1, 30))
     return GroupAlgebraElement(tower, coeffs)
@@ -378,7 +407,7 @@ def _random_complex_element(rng: random.Random, tower: Tower, n: int, size: int)
     # units and signed zeros in the parts produce -0.0 products
     special = (1j, -1j, 1 + 0j, -1 + 0j, complex(-0.0, 1.0), complex(1.0, -0.0))
     coeffs = {}
-    for x in rng.sample(block_points(tower.primes.p(n)), size):
+    for x in rng.sample(_lex_points(tower.primes.p(n)), size):
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         coeffs[tower.h(n, x)] = rng.choice(special) if rng.random() < 0.3 else c
     return GroupAlgebraElement(tower, coeffs)
@@ -411,7 +440,7 @@ def test_projection_square_matches_pair_loop(tw7: Tower, n: int):
 
 def _block_sum(tower: Tower, n: int, *extra) -> GroupAlgebraElement:
     """Every point of block n plus `extra` words, with mixed-sign coefficients."""
-    words = [tower.h(n, x) for x in block_points(tower.primes.p(n))] + list(extra)
+    words = [tower.h(n, x) for x in _lex_points(tower.primes.p(n))] + list(extra)
     return GroupAlgebraElement(
         tower, {w: Fraction(i % 5 - 2 or 3, i % 3 + 1) for i, w in enumerate(words)}
     )
@@ -501,7 +530,7 @@ def test_complex_convolution_matches_pair_loop_bitwise(tw7: Tower, n: int, seed:
 
 def test_complex_convolution_keeps_negative_zero(tw7: Tower):
     # i * (-1) = (-0.0, -1.0) in CPython; a sum started from +0.0 would lose the sign
-    a = GroupAlgebraElement(tw7, {tw7.h(0, x): 1j for x in block_points(2)})
+    a = GroupAlgebraElement(tw7, {tw7.h(0, x): 1j for x in _lex_points(2)})
     b = GroupAlgebraElement(tw7, {tw7.h(0, (1, 0, 1)): -1 + 0j})
     with _counted_tower_mul(tw7) as calls:
         product = a.mul(b)

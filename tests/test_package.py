@@ -1,7 +1,9 @@
 """The package surface: its public names, and the demos that use them."""
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +73,22 @@ PUBLIC_NAMES = [
 def test_public_api_frozen():
     assert sorted(amalgam.__all__) == PUBLIC_NAMES
     assert all(hasattr(amalgam, name) for name in PUBLIC_NAMES)
+
+
+def test_module_level_caches_are_bounded():
+    # an unbounded per-prime cache keeps every block a process has seen;
+    # generator balls are keyed by radius, not by prime
+    caches = {}
+    for info in pkgutil.iter_modules(amalgam.__path__):
+        module = importlib.import_module(f"amalgam.{info.name}")
+        for attr, obj in vars(module).items():
+            # each cache once, in the module that defines it
+            if (callable(getattr(obj, "cache_parameters", None))
+                    and obj.__module__ == module.__name__):
+                caches[f"{info.name}.{attr}"] = obj.cache_parameters()["maxsize"]
+    unbounded = sorted(name for name, size in caches.items() if size is None)
+    assert unbounded == ["matrices.generator_ball"]
+    assert "semidirect._cached_image_table" in caches  # the walk finds the caches
 
 
 def test_demos_found():

@@ -178,20 +178,34 @@ def test_lattice_samplers_match_the_per_block_products(primes, seed):
         lambda s: s.lattice_word((1, 1)),
         lambda s: s.lattice_word((0, 2, 0), nonzero=True),
         lambda s: s.lattice_vector((2, 2)),
+        lambda s: s.lattice_word((0, 7)),
+        lambda s: s.lattice_word((-1,)),
+        lambda s: s.lattice_word((0, len(PRIMES)), nonzero=True),
+        lambda s: s.lattice_vector((1, 7)),
+        lambda s: s.lattice_word_in(-1),
+        lambda s: s.lattice_word_in(len(PRIMES) + 1),
+        lambda s: s.lattice_word_in(1, width=0),
+        lambda s: s.lattice_word_escaping(1, width=0),
     ],
     ids=["escaping-0", "escaping-negative", "escaping-past-primes", "nonzero-no-blocks",
-         "repeated-block", "repeated-block-nonzero", "vector-repeated-block"],
+         "repeated-block", "repeated-block-nonzero", "vector-repeated-block",
+         "block-past-primes", "block-negative", "block-past-primes-nonzero",
+         "vector-block-past-primes", "in-negative", "in-past-primes", "in-width-0",
+         "escaping-width-0"],
 )
 def test_bad_lattice_requests_raise_before_any_draw(call):
-    s = Sampler(TOWER, seed=12)
-    state = s.rng.getstate()
-    with pytest.raises(ValueError, match="cutoff must lie|needs at least one block|distinct"):
-        call(s)
-    assert s.rng.getstate() == state
+    # at every seed: whether a draw happens to reach a bad block must not matter
+    for seed in (0, 1, 2, 3, 4, 5, 12):
+        s = Sampler(TOWER, seed=seed)
+        state = s.rng.getstate()
+        with pytest.raises(ValueError, match="must lie|needs at least one block|distinct|width"):
+            call(s)
+        assert s.rng.getstate() == state
 
 
 def test_escaping_accepts_every_cutoff_up_to_the_prime_count():
     s = Sampler(TOWER, seed=13)
+    assert s.lattice_word_in(len(PRIMES)).is_identity  # the high part escaping builds on
     for cutoff in range(1, len(PRIMES) + 1):
         w = s.lattice_word_escaping(cutoff)
         assert TOWER.in_k(w) and not TOWER.in_kn(w, cutoff)

@@ -1,13 +1,16 @@
 """Base group: finitely supported lattice vectors twisted by matrices."""
 from __future__ import annotations
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from amalgam.matrices import IDENTITY_MATRIX, elementary
+from amalgam import semidirect
+from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, elementary, generator_ball
 from amalgam.primes import PrimeSeq
-from amalgam.semidirect import G0Element, KVector, ZERO_K
+from amalgam.semidirect import G0Element, KVector, ZERO_K, codes, image_table, points
 
 PRIMES = PrimeSeq.parse("2,3,5")
 GENS = [elementary(i, j, s) for i in range(3) for j in range(3) if i != j for s in (1, -1)]
@@ -120,3 +123,36 @@ def test_g0_associativity_random():
     for _ in range(80):
         a, b, c = sample(), sample(), sample()
         assert a.mul(b, PRIMES).mul(c, PRIMES) == a.mul(b.mul(c, PRIMES), PRIMES)
+
+
+def test_points_decodes_codes():
+    # the decoder against an independent reference: lex order of the
+    # triples, a round trip on sampled codes, and a scalar code's shape
+    for p in (2, 3, 5, 7):
+        assert points(np.arange(p**3), p).tolist() == [
+            list(x) for x in itertools.product(range(p), repeat=3)
+        ]
+    rng = np.random.default_rng(0)
+    for p in (47, 211):
+        sample = rng.integers(0, p**3, size=10_000)
+        assert np.array_equal(codes(points(sample, p), p), sample)
+    assert points(5 * 49 + 2 * 7 + 6, 7).shape == (3,)
+    assert points(5 * 49 + 2 * 7 + 6, 7).tolist() == [5, 2, 6]
+
+
+def test_image_tables_are_the_action_and_cached_only_for_small_blocks():
+    # above p = 11 a table is built per call and not kept; at every size it
+    # is a read-only permutation that sends the code of x to the code of g x
+    rng = random.Random(3)
+    matrices = list(ELEMENTARY_GENERATORS) + rng.sample(generator_ball(3), 4)
+    semidirect._cached_image_table.cache_clear()
+    for p in (2, 11, 13, 47):
+        sample = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(200)]
+        for g in matrices:
+            table = image_table(p, g)
+            assert not table.flags.writeable
+            assert (image_table(p, g) is table) == (p <= 11)
+            assert codes([g.apply(x, p) for x in sample], p).tolist() == (
+                table[codes(sample, p)].tolist())
+        assert np.array_equal(np.sort(table), np.arange(p**3))
+    assert semidirect._cached_image_table.cache_info().currsize == 2 * len(set(matrices))

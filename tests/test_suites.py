@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import re
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -423,6 +424,23 @@ def test_xi_rows_under_the_guard_keep_the_suite_tower_under_it():
     assert set(held) == {7**3, 5**3, 3**3, 2**3}
     assert 11**3 not in held
     assert WORD_ENTRIES * max(held) <= config.size_guard
+
+
+def test_orbits_suite_keeps_no_block_table_after_it_returns():
+    # block 0 mod 47 has 103,823 points: the rows' image tables are built
+    # per call above p = 11, so nothing of the block stays resident
+    config = SuiteConfig(primes=PrimeSeq.parse("47"))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run_suite("orbits", config).passed
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert kept < 1 << 20, kept
 
 
 def test_run_all_returns_report_per_suite():

@@ -4,7 +4,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -124,25 +123,22 @@ def test_check_xi_invariance_refuses_a_negative_cutoff():
 
 
 def test_check_xi_invariance_rejects_broken_conjugation(monkeypatch):
-    # Within its domain the check always holds, so each way it can fail is
-    # shown with a substituted walk over the block's point codes: one where
-    # a conjugate leaves block n (the walk stops), one not onto the block
+    # Within its domain the check always holds, so the one way it can fail
+    # is shown with a substituted unit walk that stops (a conjugate leaves
+    # block n).  A matrix from the walk has determinant 1 mod p_n, so it
+    # permutes the block (pinned in test_words), and any matrix passes
     tower = Tower(PRIMES)
     n, g = 2, tower.stable(1)
-    walks = {
-        "leaves": lambda self, n, h, points: None,
-        "onto": lambda self, n, h, points: np.where(points == 1, 2, points),
-    }
-    for label, walk in walks.items():
-        monkeypatch.setattr(Tower, "_conj_codes", walk)
-        assert not check_xi_invariance(tower, 1, n, g), label
-    monkeypatch.setattr(Tower, "_conj_codes", lambda self, n, h, points: points[::-1])
-    assert check_xi_invariance(tower, 1, n, g)  # a relabelling onto the block
+    monkeypatch.setattr(Tower, "_conj_units", lambda self, n, h: None)
+    assert not check_xi_invariance(tower, 1, n, g)
+    shear = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
+    monkeypatch.setattr(Tower, "_conj_units", lambda self, n, h: shear)
+    assert check_xi_invariance(tower, 1, n, g)
 
 
 def test_check_xi_invariance_builds_no_words(monkeypatch):
-    # one walk over point codes: no block of words, no per-word conjugation,
-    # and nothing left in the process-wide per-prime caches
+    # one walk over the unit vectors: no block of words, no per-word
+    # conjugation, and no image table
     tower = Tower(PRIMES)
     g = tower.mul(tower.stable(1), tower.lam(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
 
@@ -151,11 +147,9 @@ def test_check_xi_invariance_builds_no_words(monkeypatch):
 
     monkeypatch.setattr(Tower, "block", refuse)
     monkeypatch.setattr(Tower, "conj", refuse)
-    caches = (semidirect.block_points, semidirect.point_array, semidirect.image_table)
-    calls = [c.cache_info()[:2] for c in caches]
+    monkeypatch.setattr(semidirect, "image_table", refuse)
     assert check_xi_invariance(tower, 1, 4, g)
     assert check_xi_invariance(tower, 1, 2, tower.stable(1))
-    assert [c.cache_info()[:2] for c in caches] == calls
 
 
 # Sums, differences and scales of elements with keys above level 0 keep

@@ -1,6 +1,7 @@
 """Tower arithmetic: reduced words across the amalgamated levels."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -13,7 +14,7 @@ from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, LambdaMatri
 from amalgam.orbits import SizeGuardExceeded
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
-from amalgam.semidirect import G0Element, KVector, block_points, codes
+from amalgam.semidirect import G0Element, KVector, codes, points
 from amalgam.words import GroupWord, Tower, _word
 from timelimit import time_limit
 
@@ -267,7 +268,7 @@ def test_block_words_in_lex_order_and_memoized(tw: Tower):
     for n in range(len(tw.primes)):
         p = tw.primes.p(n)
         block = tw.block(n)
-        assert list(block) == [tw.h(n, x) for x in block_points(p)]
+        assert list(block) == [tw.h(n, x) for x in itertools.product(range(p), repeat=3)]
         assert tw.block(n) is block
         assert block[0] is tw.identity()
         assert (block[p * p], block[p], block[1]) == (
@@ -489,9 +490,11 @@ def _block_conjugators(tw: Tower) -> list[GroupWord]:
     return conjugators
 
 
-def test_conj_codes_is_conj_on_every_point_of_a_block():
-    # the array walk against per-word conjugation: equal codes wherever
-    # every conjugate stays in block n, and None exactly where one leaves
+def test_conj_units_matrix_is_conj_on_every_point_of_a_block():
+    # the unit walk's matrix against per-word conjugation: every point of
+    # block n moved by it lands on the code of its conjugate wherever each
+    # conjugate stays in block n, the walk stops exactly where one leaves,
+    # and the matrix has determinant 1 mod p_n, so it permutes the block
     tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
     outcomes = set()
     for h in _block_conjugators(tw):
@@ -499,12 +502,15 @@ def test_conj_codes_is_conj_on_every_point_of_a_block():
             p = tw.primes.p(n)
             images = [tw.conj(k, h) for k in tw.block(n)]
             left = any(not (tw.in_k(w) and w.g0.k.support in ((), (n,))) for w in images)
-            walked = tw._conj_codes(n, h, np.arange(p**3))
+            units = tw._conj_units(n, h)
             if left:
-                assert walked is None, (h, n)
+                assert units is None, (h, n)
             else:
-                assert walked.tolist() == codes([w.g0.k.block(n) for w in images], p).tolist(), (h, n)
-            assert tw._conj_codes(n, h, np.zeros(1, dtype=np.int64)).tolist() == [0]
+                # the units are the matrix's columns, so they are the rows
+                # that multiply the points from the right
+                moved = codes((points(np.arange(p**3), p) @ np.array(units)) % p, p)
+                assert moved.tolist() == codes([w.g0.k.block(n) for w in images], p).tolist(), (h, n)
+                assert round(np.linalg.det(np.array(units))) % p == 1, (h, n)
             outcomes.add(left)
     assert outcomes == {False, True}
 
