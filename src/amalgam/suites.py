@@ -69,8 +69,8 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "primes", _primes_mod.as_prime_seq(self.primes))
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.level < 1:

@@ -9,9 +9,9 @@ support injectively.  The uniform block vectors produced by `xi` are
 fixed by every conjugation that normalizes their block, which
 `check_xi_invariance` verifies exactly: all coefficients of a uniform
 vector are equal, so invariance reduces to the block being mapped onto
-itself, which `block_stabilized` decides.  Both make the one scalar walk
-of the conjugator's factors over the block's three unit vectors
-(`Tower._conj_units`), and build no word.
+itself, which `block_stabilized` decides.  Both decide by the glued-subgroup
+rule of `Tower.conj`: g of level L maps block n onto itself exactly when
+n >= L-1, and build no word.
 Norm comparisons are decided on exact squared sums whenever the
 coefficients are rational.
 """
@@ -79,14 +79,12 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
 
     The claim is only made for cutoff >= 0 and n > cutoff; asking outside
     that raises InvarianceDomainError so callers can distinguish "outside
-    the claimed range" from a genuine failure.  Because all coefficients
-    of xi(n) are equal and conjugation relabels injectively, invariance is
-    exactly key-set equality: the conjugates are the p^3 points of block n.
-    They lie in block n exactly when the walk of g's factors over its unit
-    vectors stays in K (`Tower._conj_units`, as in `block_stabilized`), and
-    then they cover it: every matrix on the walk lies in SL(3, Z), so the
-    block moves by a matrix of determinant 1 mod p_n, a permutation.  No
-    block word is built.
+    the claimed range" from a genuine failure, and a block n with no
+    configured prime raises IndexError.  Because all coefficients of xi(n)
+    are equal and conjugation relabels injectively, invariance is exactly
+    block n being mapped onto itself, which holds exactly when
+    n >= g.level - 1 (see `block_stabilized`).  Within the domain
+    n > cutoff >= g.level, so the answer is always True.  No word is built.
     """
     if cutoff < 0:
         raise InvarianceDomainError(f"invariance is only claimed for cutoff >= 0, got {cutoff}")
@@ -96,21 +94,27 @@ def check_xi_invariance(tower: Tower, cutoff: int, n: int, g: GroupWord) -> bool
         )
     if not tower.in_gn(g, cutoff):
         raise ValueError(f"conjugator must lie at level <= {cutoff}, got level {g.level}")
-    return tower._conj_units(n, g) is not None
+    return block_stabilized(tower, n, g)
 
 
 def block_stabilized(tower: Tower, n: int, g: GroupWord) -> bool:
     """Exact test that conjugation by g maps block n onto itself setwise.
 
-    It suffices to conjugate the three unit vectors: if their conjugates
-    land in the block, the conjugated subgroup they generate sits inside
-    a finite group of the same order, hence equals it.  One scalar walk
-    over g's factors moves all three (`Tower._conj_units`); every matrix
-    maps block n onto itself, so the test is whether the walk stays in K,
-    and no word is built.  Equivalent to check_xi_invariance without the
+    Let L be g's level.  For n >= L-1, block n lies in the glued subgroup
+    K_{L-1}, on which conjugation by g is the action of the matrix part of
+    g's retraction to G_0 (`Tower._retract_act`): a matrix of SL(3, Z),
+    invertible mod p_n, so it maps the block onto itself.  For n < L-1
+    and v nonzero in the block, write g = x_0 t^{m_1} x_1 ... t^{m_r} x_r
+    reduced: x_r v x_r^{-1} lies outside K_{L-1} (else v, its image under
+    x_r^{-1}, would lie in it), as do x_1, ..., x_{r-1}, so g v g^{-1} is
+    a reduced word of level L, outside K.  So the answer is n >= L-1,
+    that is g in G_{n+1}, and no word is built.  A block n with no
+    configured prime raises IndexError, and a word of a tower with other
+    primes ValueError.  Equivalent to check_xi_invariance without the
     domain restriction.
     """
-    return tower._conj_units(n, g) is not None
+    tower.primes.p(n)
+    return tower.in_gn(g, n + 1)
 
 
 def search_invariance_violation(

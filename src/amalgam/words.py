@@ -52,16 +52,13 @@ is reduced when it is built, so this is the same element in the same
 representation the engine would return.
 
 `Tower.conj` of a lattice element (level 0, identity matrix) skips the
-rewriting engine while the conjugate stays in K: a matrix acts on the
-vector blockwise, and t(L)^m fixes a vector of the glued subgroup, so the
-vector is moved factor by factor and wrapped as a level-0 word.  Since a
-reduced word of level >= 1 never lies in G_0, the engine would have
-returned that same canonical word.  A vector that leaves the glued
-subgroup before a stable power is crossed goes back to the engine.
-`Tower._conj_units` takes the same walk for block n alone, on its three
-unit vectors as triples mod p_n; by linearity their conjugates are the
-columns of the matrix conjugation acts on the whole block by.  It builds
-no word and fills no cache.
+rewriting engine when the vector lies in K_{L-1}, for a conjugator h of
+level L: there conjugation by h is the action of the matrix part of h's
+retraction to G_0 (`Tower._retract_act`), so the conjugate is a level-0
+word, which is canonical.  A reduced word of level >= 1 never lies in
+G_0, so the engine would have returned that same word.  Every other
+target goes to the engine.  The same rule decides both block checks in
+`witness`: h maps block n onto itself exactly when n >= L-1.
 """
 from __future__ import annotations
 
@@ -84,7 +81,6 @@ from . import primes as _primes_mod
 __all__ = ["GroupWord", "Tower"]
 
 _set = object.__setattr__
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # block n's unit vectors, as triples
 
 
 class GroupWord(_Immutable):
@@ -395,64 +391,42 @@ class Tower:
     def conj(self, g: GroupWord, h: GroupWord) -> GroupWord:
         """The conjugate h * g * h^{-1}, reduced.
 
-        A lattice target (level 0, identity matrix) of this tower, conjugated
-        by a word of this tower, is moved on its vector directly while it
-        stays in K (see `_conj_k`).  Such a result is a level-0 word, and
-        level-0 words are canonical, while a reduced word at level >= 1
-        never lies in G_0; so this is the word the rewriting engine would
-        return.  Every other case, and a target that leaves K on the way,
-        is reduced by the engine.
+        A lattice target (level 0, identity matrix) of this tower in the
+        glued subgroup K_{L-1}, for a conjugator h of this tower at level L,
+        is moved by the matrix part of h's retraction (`_retract_act`).
+        Such a result is a level-0 word, and level-0 words are canonical,
+        while a reduced word at level >= 1 never lies in G_0; so this is the
+        word the rewriting engine would return.  Every other case is
+        reduced by the engine.
         """
         if g.level == 0 and g.tower is self and h.tower is self and g.g0.lam.rows == _ID_ROWS:
-            k = self._conj_k(g.g0.k, h)
-            if k is not None:
+            k = g.g0.k
+            if k.supported_at_or_above(h.level - 1):
+                k = self._retract_act(k, h)
                 return g if k is g.g0.k else self.g0(_g0(k, IDENTITY_MATRIX))
         return self.mul(self.mul(h, g), self.inv(h))
 
-    def _conj_k(self, k: KVector, h: GroupWord) -> KVector | None:
-        """The vector of h k h^{-1} for k in K, or None once it leaves K.
+    def _retract_act(self, k: KVector, h: GroupWord) -> KVector:
+        """The vector of h k h^{-1} for k in K_{L-1}, h of level L.
 
-        At level 0, (k_h, L)(k, I)(k_h, L)^{-1} = (L k, I).  At level L >= 1
-        the factors x_r, ..., x_0 conjugate in turn, innermost first, and
-        t(L)^m fixes k when k lies in the glued subgroup K_{L-1} (the test
-        `_push` folds with); any other k stops the walk.
+        The tower glues t(N+1) along K_N, so t(L) fixes K_{L-1} pointwise.
+        Deleting stable letters is a homomorphism rho: G_L -> G_0, the
+        identity on G_0 (the amalgam's universal property, Serre, Trees
+        I.1).  Write h = x_0 t^{m_1} x_1 ... t^{m_r} x_r with x_i of level
+        < L.  By induction on L, each x_i conjugates K_{L-1} into itself as
+        the matrix part of rho(x_i) does (blockwise, so the support is
+        kept), and each t^{m_i} fixes the result; at level 0,
+        (v, lambda)(k, I)(v, lambda)^{-1} = (lambda k, I).  So h k h^{-1} is
+        lambda k, for lambda the matrix part of rho(h).  The level-0
+        matrices act on k one at a time, innermost first, reduced mod p at
+        every step; no product of matrices and no word is formed.
         """
         if h.level == 0:
             lam = h.g0.lam
             return k if lam.rows == _ID_ROWS else k.act(lam, self.primes)
-        cutoff = h.level - 1
-        factors = h.factors
-        for i in range(len(h.exponents), 0, -1):
-            k = self._conj_k(k, factors[i])
-            if k is None or not k.supported_at_or_above(cutoff):
-                return None
-        return self._conj_k(k, factors[0])
-
-    def _conj_units(self, n: int, h: GroupWord) -> tuple[Triple, Triple, Triple] | None:
-        """`_conj_k` for block n alone: the block-n coordinates of h e h^{-1}
-        for the unit vectors e = (1,0,0), (0,1,0), (0,0,1), or None once
-        they leave K.
-
-        One scalar walk over h's factors, innermost first, carries the three
-        triples mod p_n: a level-0 factor's matrix moves each of them, and a
-        word at level L stops the walk when n < L-1, since its stable
-        syllables carry every nonzero block-n vector out of K (for n >= L-1
-        they fix the block).  Conjugation is linear on the block, so the
-        triples are the columns of the matrix it acts by.
-        """
-        p = self.primes.p(n)
-        units = _UNITS
-        pending = [h]
-        while pending:
-            x = pending.pop()
-            if x.level:
-                if n < x.level - 1:
-                    return None
-                pending += x.factors  # popped last first: innermost first
-            elif x.g0.lam.rows != _ID_ROWS:
-                lam = x.g0.lam
-                units = (lam.apply(units[0], p), lam.apply(units[1], p), lam.apply(units[2], p))
-        return units
+        for x in reversed(h.factors):
+            k = self._retract_act(k, x)
+        return k
 
     def eq(self, a: GroupWord, b: GroupWord) -> bool:
         """Element equality: the two words have the same key."""

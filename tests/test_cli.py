@@ -143,6 +143,16 @@ def test_verify_bad_tolerance_exits_2(capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_verify_non_finite_tolerance_exits_2(capsys, tolerance):
+    # nan compares false with every deviation (every float check failed,
+    # exit 1) and inf passed every one: neither is a tolerance
+    code, out, err = run(capsys, "verify", "fourier", "--primes", "2,3", "--tolerance", tolerance)
+    assert code == 2
+    assert "tolerance must be finite" in err
+    assert out == ""
+
+
 def test_verify_impossible_tolerance_exits_1(capsys):
     code, out, _ = run(
         capsys, "verify", "fourier", "--primes", "2,3", "--tolerance", "1e-30",

@@ -93,6 +93,9 @@ def test_all_concatenates_in_declared_order():
 def test_config_validation():
     with pytest.raises(ValueError, match="tolerance"):
         SuiteConfig(tolerance=0)
+    for tolerance in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            SuiteConfig(tolerance=tolerance)
     with pytest.raises(ValueError, match="level"):
         SuiteConfig(level=0)
     with pytest.raises(ValueError, match="samples"):
@@ -405,7 +408,7 @@ def test_xi_rows_under_the_guard_keep_the_suite_tower_under_it():
     # the rows that build block n (`xi`) declare WORD_ENTRIES * p_n^3, and the
     # suite's one tower keeps one block at a time, so rows that each fit the
     # guard never make the tower hold more, however many blocks the suite
-    # walks; `block_stabilized` builds none, so block 4 (11^3) never is.
+    # visits; `block_stabilized` builds none, so block 4 (11^3) never is.
     # The guard admits exactly the largest row, the level-3 violation search:
     # 36 letters and their 36^2 products, one word more than block 4's 11^3
     config = SuiteConfig(primes=PrimeSeq.parse("7,5,3,2,11"), samples=5,

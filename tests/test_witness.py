@@ -122,23 +122,30 @@ def test_check_xi_invariance_refuses_a_negative_cutoff():
         check_xi_invariance(tower, -1, 0, tower.identity())
 
 
-def test_check_xi_invariance_rejects_broken_conjugation(monkeypatch):
-    # Within its domain the check always holds, so the one way it can fail
-    # is shown with a substituted unit walk that stops (a conjugate leaves
-    # block n).  A matrix from the walk has determinant 1 mod p_n, so it
-    # permutes the block (pinned in test_words), and any matrix passes
-    tower = Tower(PRIMES)
-    n, g = 2, tower.stable(1)
-    monkeypatch.setattr(Tower, "_conj_units", lambda self, n, h: None)
-    assert not check_xi_invariance(tower, 1, n, g)
-    shear = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
-    monkeypatch.setattr(Tower, "_conj_units", lambda self, n, h: shear)
-    assert check_xi_invariance(tower, 1, n, g)
+@pytest.mark.parametrize("n", [-1, 5])
+def test_block_checks_refuse_a_block_without_a_prime(tw: Tower, n: int):
+    # the level rule alone would answer for any n; the block must exist
+    for g in (tw.identity(), tw.stable(1), tw.stable(3)):
+        with pytest.raises(IndexError, match="prime index"):
+            block_stabilized(tw, n, g)
+    if n > 0:
+        with pytest.raises(IndexError, match="prime index"):
+            check_xi_invariance(tw, 1, n, tw.stable(1))
+
+
+def test_block_checks_refuse_words_of_other_primes(tw: Tower):
+    other = Tower("5,7,11")
+    with pytest.raises(ValueError, match="tower"):
+        block_stabilized(tw, 1, other.stable(3))
+    with pytest.raises(ValueError, match="tower"):
+        check_xi_invariance(tw, 1, 2, other.stable(1))
+    # a tower with the same primes is the same group
+    assert block_stabilized(tw, 1, Tower(PRIMES).stable(2))
 
 
 def test_check_xi_invariance_builds_no_words(monkeypatch):
-    # one walk over the unit vectors: no block of words, no per-word
-    # conjugation, and no image table
+    # the level rule: no block of words, no per-word conjugation, and no
+    # image table
     tower = Tower(PRIMES)
     g = tower.mul(tower.stable(1), tower.lam(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
 
@@ -200,11 +207,13 @@ def test_block_stabilized_matches_full_check(tw: Tower):
 
 def _three_conjugations(tower: Tower, n: int, g: GroupWord) -> bool:
     # block_stabilized as first defined: conjugate block n's three unit
-    # words through `Tower.conj` and ask whether each lands in block n
+    # words through the rewriting engine (not `Tower.conj`, which decides
+    # by the same level rule) and ask whether each lands in block n
     block = tower.block(n)
     p = tower.primes.p(n)
+    g_inv = tower.inv(g)
     for unit in (block[p * p], block[p], block[1]):
-        image = tower.conj(unit, g)
+        image = tower.mul(tower.mul(g, unit), g_inv)
         if not (tower.in_k(image) and image.g0.k.support in ((), (n,))):
             return False
     return True
@@ -212,7 +221,7 @@ def _three_conjugations(tower: Tower, n: int, g: GroupWord) -> bool:
 
 def test_block_stabilized_is_three_conjugations(tw: Tower):
     # sampled words at levels 0-3 against every block: both answers occur,
-    # so the sample holds conjugators whose walk stops
+    # so the sample holds conjugators that move a block out of K
     sampler = Sampler(tw, seed=53)
     answers = set()
     for level in range(4):
@@ -228,8 +237,8 @@ def test_block_stabilized_is_three_conjugations(tw: Tower):
 
 
 def test_block_stabilized_builds_no_words(monkeypatch):
-    # one walk over three unit triples: no block of words, no unit word and
-    # no per-word conjugation
+    # the level rule: no block of words, no unit word and no per-word
+    # conjugation
     tower = Tower(PRIMES)
     shear = tower.lam(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     g = tower.mul(tower.stable(2), shear)

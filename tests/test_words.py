@@ -4,7 +4,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,7 @@ from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, LambdaMatri
 from amalgam.orbits import SizeGuardExceeded
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
-from amalgam.semidirect import G0Element, KVector, codes, points
+from amalgam.semidirect import G0Element, KVector
 from amalgam.words import GroupWord, Tower, _word
 from timelimit import time_limit
 
@@ -480,7 +479,7 @@ def test_conj_of_a_lattice_element_that_stays_in_k_skips_the_engine():
 
 
 def _block_conjugators(tw: Tower) -> list[GroupWord]:
-    # 23 conjugators at levels 0-3, some of whose walks stop on low blocks
+    # 23 conjugators at levels 0-3, some of which move low blocks out of K
     sampler = Sampler(tw, seed=23)
     conjugators = [tw.identity(), tw.stable(1), tw.stable(3, -1)]
     for level in range(4):
@@ -490,47 +489,23 @@ def _block_conjugators(tw: Tower) -> list[GroupWord]:
     return conjugators
 
 
-def test_conj_units_matrix_is_conj_on_every_point_of_a_block():
-    # the unit walk's matrix against per-word conjugation: every point of
-    # block n moved by it lands on the code of its conjugate wherever each
-    # conjugate stays in block n, the walk stops exactly where one leaves,
-    # and the matrix has determinant 1 mod p_n, so it permutes the block
+def test_conj_on_every_point_of_a_block_is_the_engine():
+    # `Tower.conj` against the rewriting engine on every point of every
+    # block: the same word, since level-0 results are canonical, and the
+    # conjugate stays in block n exactly when n >= h.level - 1, the rule
+    # both block checks decide by
     tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
     outcomes = set()
     for h in _block_conjugators(tw):
+        h_inv = tw.inv(h)
         for n in range(5):
-            p = tw.primes.p(n)
-            images = [tw.conj(k, h) for k in tw.block(n)]
-            left = any(not (tw.in_k(w) and w.g0.k.support in ((), (n,))) for w in images)
-            units = tw._conj_units(n, h)
-            if left:
-                assert units is None, (h, n)
-            else:
-                # the units are the matrix's columns, so they are the rows
-                # that multiply the points from the right
-                moved = codes((points(np.arange(p**3), p) @ np.array(units)) % p, p)
-                assert moved.tolist() == codes([w.g0.k.block(n) for w in images], p).tolist(), (h, n)
-                assert round(np.linalg.det(np.array(units))) % p == 1, (h, n)
-            outcomes.add(left)
-    assert outcomes == {False, True}
-
-
-def test_conj_units_is_conj_of_the_unit_vectors():
-    # the scalar walk against per-word conjugation of block n's three unit
-    # vectors: None exactly where one conjugate leaves block n, and otherwise
-    # their block-n coordinates, in order
-    tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
-    outcomes = set()
-    for h in _block_conjugators(tw):
-        for n in range(5):
-            images = [tw.conj(tw.h(n, e), h) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-            left = any(not (tw.in_k(w) and w.g0.k.support == (n,)) for w in images)
-            units = tw._conj_units(n, h)
-            if left:
-                assert units is None, (h, n)
-            else:
-                assert units == tuple(w.g0.k.block(n) for w in images), (h, n)
-            outcomes.add(left)
+            stays = n >= h.level - 1
+            for k in tw.block(n):
+                image = tw.conj(k, h)
+                assert image == tw.mul(tw.mul(h, k), h_inv), (k, h)
+                if not k.is_identity:
+                    assert (tw.in_k(image) and image.g0.k.support == (n,)) == stays, (k, h)
+            outcomes.add(stays)
     assert outcomes == {False, True}
 
 
