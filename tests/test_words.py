@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, LambdaMatri
 from amalgam.orbits import SizeGuardExceeded
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
-from amalgam.semidirect import G0Element, KVector
+from amalgam.semidirect import G0Element, KVector, codes, points
 from amalgam.words import GroupWord, Tower, _word
 from timelimit import time_limit
 
@@ -478,6 +479,9 @@ def test_conj_of_a_lattice_element_that_stays_in_k_skips_the_engine():
     assert image == tw.mul(tw.mul(h, g), tw.inv(h)) == tw.h(2, (2, 1, 0))
 
 
+_UNIT_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def _block_conjugators(tw: Tower) -> list[GroupWord]:
     # 23 conjugators at levels 0-3, some of which move low blocks out of K
     sampler = Sampler(tw, seed=23)
@@ -489,23 +493,56 @@ def _block_conjugators(tw: Tower) -> list[GroupWord]:
     return conjugators
 
 
-def test_conj_on_every_point_of_a_block_is_the_engine():
+def test_conj_units_matrix_is_conj_on_every_point_of_a_block():
     # `Tower.conj` against the rewriting engine on every point of every
-    # block: the same word, since level-0 results are canonical, and the
+    # block: the same word, since level-0 results are canonical.  The
     # conjugate stays in block n exactly when n >= h.level - 1, the rule
-    # both block checks decide by
+    # both block checks decide by; there the matrix whose columns are the
+    # retraction's images of the unit vectors moves every point of the
+    # block onto its conjugate, and has determinant 1 mod p_n, so it
+    # permutes the block
     tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
     outcomes = set()
     for h in _block_conjugators(tw):
         h_inv = tw.inv(h)
         for n in range(5):
+            p = tw.primes.p(n)
             stays = n >= h.level - 1
+            images = []
             for k in tw.block(n):
                 image = tw.conj(k, h)
                 assert image == tw.mul(tw.mul(h, k), h_inv), (k, h)
                 if not k.is_identity:
                     assert (tw.in_k(image) and image.g0.k.support == (n,)) == stays, (k, h)
+                images.append(image)
+            if stays:
+                units = [tw._retract_act(tw.h(n, e).g0.k, h).block(n) for e in _UNIT_VECTORS]
+                # the units are the matrix's columns, so they are the rows
+                # that multiply the points from the right
+                moved = codes((points(np.arange(p**3), p) @ np.array(units)) % p, p)
+                assert moved.tolist() == codes([w.g0.k.block(n) for w in images], p).tolist(), (h, n)
+                assert round(np.linalg.det(np.array(units))) % p == 1, (h, n)
             outcomes.add(stays)
+    assert outcomes == {False, True}
+
+
+def test_conj_units_is_conj_of_the_unit_vectors():
+    # the engine's conjugates of block n's three unit vectors: one leaves
+    # block n exactly when n < h.level - 1, and otherwise their block-n
+    # coordinates, in order, are the retraction's images of the unit vectors
+    tw = Tower(PrimeSeq.parse("2,3,5,7,11"))
+    outcomes = set()
+    for h in _block_conjugators(tw):
+        h_inv = tw.inv(h)
+        for n in range(5):
+            units = [tw.h(n, e) for e in _UNIT_VECTORS]
+            images = [tw.mul(tw.mul(h, u), h_inv) for u in units]
+            left = any(not (tw.in_k(w) and w.g0.k.support == (n,)) for w in images)
+            assert left == (n < h.level - 1), (h, n)
+            if not left:
+                assert [w.g0.k.block(n) for w in images] == \
+                    [tw._retract_act(u.g0.k, h).block(n) for u in units], (h, n)
+            outcomes.add(left)
     assert outcomes == {False, True}
 
 
