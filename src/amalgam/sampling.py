@@ -2,6 +2,11 @@
 
 Every generator draws from one `random.Random` held by the `Sampler`, so
 a fixed seed reproduces the whole draw sequence bit-for-bit across runs.
+Each index below n is drawn by `_below`: n.bit_length() bits from
+`getrandbits`, drawn again while they reach n.  That is the draw
+`randrange(n)`, `randint` and `choice` make in CPython, value for value,
+but the stream depends on `getrandbits` alone, not on `randrange`'s
+private algorithm; floats come from `random()`.
 
 A lattice sample is one vector built from its drawn (block, triple) pairs,
 with the draws a product of per-block `Tower.h` words would take.  A bad
@@ -21,6 +26,17 @@ from .words import GroupWord, Tower
 __all__ = ["Sampler"]
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform index in 0..n-1, for n >= 1 (see the module docstring)."""
+    if n < 1:
+        raise ValueError(f"no index below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 class Sampler:
     """Deterministic sample streams over one tower."""
 
@@ -31,14 +47,21 @@ class Sampler:
     # ------------------------------------------------------------------
     # words
     def letter(self, level_cap: int, block_cap: int = 3) -> GroupWord:
-        return self.rng.choice(self.tower.alphabet(level_cap, block_cap))
+        letters = self.tower.alphabet(level_cap, block_cap)
+        return letters[_below(self.rng, len(letters))]
 
     def word(self, length: int, level_cap: int, block_cap: int = 3) -> GroupWord:
-        """Product of `length` uniform letters (reduced along the way)."""
-        letters = self.tower.alphabet(level_cap, block_cap)
-        w = self.tower.identity()
-        for _ in range(self.rng.randint(1, max(1, length))):
-            w = self.tower.mul(w, self.rng.choice(letters))
+        """Product of 1..max(1, length) uniform letters (reduced along the way)."""
+        tw = self.tower
+        letters = tw.alphabet(level_cap, block_cap)
+        n = len(letters)
+        k, bits = n.bit_length(), self.rng.getrandbits
+        w = tw.identity()
+        for _ in range(1 + _below(self.rng, max(1, length))):
+            r = bits(k)  # _below, inline
+            while r >= n:
+                r = bits(k)
+            w = tw.mul(w, letters[r])
         return w
 
     def base_factor(self, level: int) -> GroupWord:
@@ -51,9 +74,9 @@ class Sampler:
         for _ in range(64):
             choice = self.rng.random()
             if choice < 0.4:
-                block = self.rng.randint(0, min(max(0, level - 2), len(tw.primes) - 1))
+                block = _below(self.rng, min(max(1, level - 1), len(tw.primes)))
                 p = tw.primes.p(block)
-                coords = tuple(self.rng.randrange(p) for _ in range(3))
+                coords = tuple(_below(self.rng, p) for _ in range(3))
                 w = tw.h(block, coords)
             elif choice < 0.8:
                 w = self.letter(0)
@@ -61,7 +84,7 @@ class Sampler:
                     w = tw.mul(w, self.letter(0))
             else:
                 if level >= 2:
-                    w = tw.stable(self.rng.randint(1, level - 1), self.rng.choice((-1, 1)))
+                    w = tw.stable(1 + _below(self.rng, level - 1), (-1, 1)[_below(self.rng, 2)])
                 else:
                     w = self.letter(0)
             if not w.is_identity and not tw.in_kn(w, level - 1):
@@ -81,7 +104,7 @@ class Sampler:
         tw = self.tower
         w = self.base_factor(level) if self.rng.random() < 0.5 else tw.identity()
         for i in range(syllables):
-            power = self.rng.choice((-2, -1, 1, 2))
+            power = (-2, -1, 1, 2)[_below(self.rng, 4)]
             w = tw.mul(w, tw.stable(level, power))
             if i < syllables - 1:
                 w = tw.mul(w, self.base_factor(level))
@@ -97,11 +120,16 @@ class Sampler:
     # lattice elements
     def block_triple(self, block: int, nonzero: bool = False) -> tuple[int, int, int]:
         p = self.tower.primes.p(block)
-        randrange = self.rng.randrange
+        k, bits = p.bit_length(), self.rng.getrandbits
         while True:
-            coords = (randrange(p), randrange(p), randrange(p))
+            coords = []
+            for _ in range(3):
+                r = bits(k)  # _below, inline
+                while r >= p:
+                    r = bits(k)
+                coords.append(r)
             if not nonzero or any(coords):
-                return coords
+                return tuple(coords)
 
     def lattice_word(self, blocks, nonzero: bool = False) -> GroupWord:
         """Element of the base lattice supported inside the given distinct blocks:
@@ -116,7 +144,7 @@ class Sampler:
             raise ValueError("a nonzero lattice element needs at least one block")
         picked = [b for b in blocks if self.rng.random() < 0.7]
         if nonzero and not picked:
-            picked = [self.rng.choice(blocks)]
+            picked = [blocks[_below(self.rng, len(blocks))]]
         items = [(b, self.block_triple(b, nonzero=nonzero)) for b in picked]
         return self.tower._lattice(tuple(sorted(b for b in items if b[1] != (0, 0, 0))))
 
@@ -137,7 +165,7 @@ class Sampler:
             raise ValueError(f"cutoff must lie in 1..{len(tw.primes)}, got {cutoff}")
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        low = self.rng.randrange(cutoff)
+        low = _below(self.rng, cutoff)
         triple = self.block_triple(low, nonzero=True)
         high = self.lattice_word_in(cutoff, width)
         return tw._lattice(((low, triple),) + high.g0.k.items)
@@ -147,8 +175,8 @@ class Sampler:
     def rational_unit(self, denominator: int = 99) -> Fraction:
         """Rational in [-1, 1]; hits the endpoints with positive probability."""
         if self.rng.random() < 0.2:
-            return Fraction(self.rng.choice((-1, 1)))
-        return Fraction(self.rng.randint(-denominator, denominator), denominator)
+            return Fraction((-1, 1)[_below(self.rng, 2)])
+        return Fraction(_below(self.rng, 2 * denominator + 1) - denominator, denominator)
 
     def unit_ball_values(self, count: int) -> list[Fraction]:
         return [self.rational_unit() for _ in range(count)]
@@ -160,6 +188,6 @@ class Sampler:
         for _ in range(size):
             w = self.lattice_word(blocks)
             coeffs[w] = coeffs.get(w, 0) + Fraction(
-                self.rng.randint(-9, 9), self.rng.randint(1, 9)
+                _below(self.rng, 19) - 9, 1 + _below(self.rng, 9)
             )
         return GroupAlgebraElement(tw, coeffs)

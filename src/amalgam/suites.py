@@ -446,15 +446,11 @@ def _invariance_core_length_3(ctx: _Context, cutoff: int, n: int):
 
 
 def _invariance_random_length_4(ctx: _Context, cutoff: int, n: int):
-    tower, rng = ctx.tower, ctx.sampler.rng
-    letters = tower.alphabet(cutoff)
     target = ctx.config.samples or 250
     bad = 0
     for _ in range(target):
-        w = tower.identity()
-        for _ in range(rng.randint(1, 4)):
-            w = tower.mul(w, rng.choice(letters))
-        if not block_stabilized(tower, n, w):
+        # 1..4 uniform letters of alphabet(cutoff)
+        if not block_stabilized(ctx.tower, n, ctx.sampler.word(4, cutoff)):
             bad += 1
     return _verdict(bad == 0), {"words": target, "max_length": 4, "violations": bad}
 

@@ -27,7 +27,10 @@ merging and folding, until one of them starts a new syllable; from there
 it appends the rest of b unchanged, since no factor of b before its last
 can fold.  `Tower.inv` reverses the syllables, inverting factors and
 negating exponents, which keeps every inner factor outside K_{L-1}.
-Both end in `_build`'s one leading fold.
+Both end in `_build`'s one leading fold, with one exception: a b of
+lower level than a has no stable powers to push, so it joins a's last
+factor, the one factor the invariant leaves free, and a's other factors
+and its exponents are shared as they are, with no fold to test.
 
 Each tower builds exactly one identity word (`Tower.identity()`): every
 operation that reduces to the identity returns that object, so
@@ -56,7 +59,9 @@ rewriting engine when the vector lies in K_{L-1}, for a conjugator h of
 level L: there conjugation by h is the action of the matrix part of h's
 retraction to G_0 (`Tower._retract_act`), so the conjugate is a level-0
 word, which is canonical.  A reduced word of level >= 1 never lies in
-G_0, so the engine would have returned that same word.  Every other
+G_0, so the engine would have returned that same word.  A lattice target
+outside K_{L-1} conjugated by a bare stable power t(L)^m starts a new
+syllable, so t^m g t^-m is already the engine's word.  Every other
 target goes to the engine.  The same rule decides both block checks in
 `witness`: h maps block n onto itself exactly when n >= L-1.
 """
@@ -341,6 +346,12 @@ class Tower:
     # group operations
 
     def mul(self, a: GroupWord, b: GroupWord) -> GroupWord:
+        """The reduced product a * b (see the module docstring).
+
+        When b's level is below a's, b joins a's last factor and the result
+        shares a's other factors and exponents: no syllable can merge, and
+        the leading factor, outside K_{L-1}, needs no fold.
+        """
         if a.tower is not self:
             self._check(a)
         if b.tower is not self:
@@ -354,9 +365,12 @@ class Tower:
             return a
         if a.level == 0 and b.level == 0:
             return self.g0(a.g0.mul(b.g0, self.primes))
-        level = max(a.level, b.level)
+        if b.level < a.level:
+            last = self._times(a.factors[-1], b)
+            return _word(self, a.level, None, a.factors[:-1] + (last,), a.exponents)
+        level = b.level
         factors, exponents = (list(a.factors), list(a.exponents)) if a.level == level else ([a], [])
-        b_factors, b_exponents = (b.factors, b.exponents) if b.level == level else ((b,), ())
+        b_factors, b_exponents = b.factors, b.exponents
         factors[-1] = self._times(factors[-1], b_factors[0])
         for j, m in enumerate(b_exponents, 1):
             if self._push(factors, exponents, m, b_factors[j], level):
@@ -396,14 +410,20 @@ class Tower:
         is moved by the matrix part of h's retraction (`_retract_act`).
         Such a result is a level-0 word, and level-0 words are canonical,
         while a reduced word at level >= 1 never lies in G_0; so this is the
-        word the rewriting engine would return.  Every other case is
-        reduced by the engine.
+        word the rewriting engine would return.  A lattice target outside
+        K_{L-1} conjugated by a bare stable power h = t(L)^m is returned as
+        the word t^m g t^-m: g starts a new syllable, so the engine would
+        fold nothing.  Every other case is reduced by the engine.
         """
         if g.level == 0 and g.tower is self and h.tower is self and g.g0.lam.rows == _ID_ROWS:
             k = g.g0.k
             if k.supported_at_or_above(h.level - 1):
                 k = self._retract_act(k, h)
                 return g if k is g.g0.k else self.g0(_g0(k, IDENTITY_MATRIX))
+            if len(h.exponents) == 1 and h.factors[0].is_identity and h.factors[1].is_identity:
+                # h = t(L)^m and g outside K_{L-1}: t^m g t^-m is reduced as it stands
+                e, m = h.factors[0], h.exponents[0]
+                return _word(self, h.level, None, (e, g, e), (m, -m))
         return self.mul(self.mul(h, g), self.inv(h))
 
     def _retract_act(self, k: KVector, h: GroupWord) -> KVector:

@@ -1,13 +1,14 @@
 """Seeded random generators used by the verification sweeps."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from amalgam.fourier import GroupAlgebraElement
 from amalgam.primes import PrimeSeq
-from amalgam.sampling import Sampler
+from amalgam.sampling import Sampler, _below
 from amalgam.words import Tower
 
 PRIMES = PrimeSeq.parse("2,3,5")
@@ -210,3 +211,91 @@ def test_escaping_accepts_every_cutoff_up_to_the_prime_count():
         w = s.lattice_word_escaping(cutoff)
         assert TOWER.in_k(w) and not TOWER.in_kn(w, cutoff)
     assert s.lattice_word((), nonzero=False).is_identity
+
+
+_SIZES = sorted(set(range(1, 71)) | {2**k + d for k in range(1, 41) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 2**40 + 3))
+def test_below_is_randrange_draw_for_draw(seed):
+    mine, ref = random.Random(seed), random.Random(seed)
+    for n in _SIZES:
+        for _ in range(3):
+            assert _below(mine, n) == ref.randrange(n), n
+        assert mine.getstate() == ref.getstate(), n
+
+
+def test_below_refuses_an_empty_range_before_any_draw():
+    rng = random.Random(3)
+    state = rng.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            _below(rng, n)
+    assert rng.getstate() == state
+
+
+# The word and number samplers as they drew through randrange, randint and
+# choice: the reference for `_below` and its inlined copies.
+def _ref_word(s: Sampler, length: int, level_cap: int):
+    letters = s.tower.alphabet(level_cap)
+    w = s.tower.identity()
+    for _ in range(s.rng.randint(1, max(1, length))):
+        w = s.tower.mul(w, s.rng.choice(letters))
+    return w
+
+
+def _ref_base_factor(s: Sampler, level: int):
+    tw = s.tower
+    while True:
+        choice = s.rng.random()
+        if choice < 0.4:
+            block = s.rng.randint(0, min(max(0, level - 2), len(tw.primes) - 1))
+            w = tw.h(block, tuple(s.rng.randrange(tw.primes.p(block)) for _ in range(3)))
+        elif choice < 0.8:
+            w = s.rng.choice(tw.alphabet(0))
+            if s.rng.random() < 0.5:
+                w = tw.mul(w, s.rng.choice(tw.alphabet(0)))
+        elif level >= 2:
+            w = tw.stable(s.rng.randint(1, level - 1), s.rng.choice((-1, 1)))
+        else:
+            w = s.rng.choice(tw.alphabet(0))
+        if not w.is_identity and not tw.in_kn(w, level - 1):
+            return w
+
+
+def _ref_reduced_word(s: Sampler, level: int, syllables: int):
+    tw = s.tower
+    w = _ref_base_factor(s, level) if s.rng.random() < 0.5 else tw.identity()
+    for i in range(syllables):
+        w = tw.mul(w, tw.stable(level, s.rng.choice((-2, -1, 1, 2))))
+        if i < syllables - 1:
+            w = tw.mul(w, _ref_base_factor(s, level))
+    if s.rng.random() < 0.5:
+        w = tw.mul(w, _ref_base_factor(s, level))
+    return w
+
+
+def _ref_rational_unit(s: Sampler, denominator: int = 99):
+    if s.rng.random() < 0.2:
+        return Fraction(s.rng.choice((-1, 1)))
+    return Fraction(s.rng.randint(-denominator, denominator), denominator)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_word_and_number_samplers_match_the_randrange_draws(seed):
+    new, ref = Sampler(TOWER, seed=seed), Sampler(TOWER, seed=seed)
+
+    def same(got, expected):
+        assert got == expected and got.format() == expected.format()
+        assert new.rng.getstate() == ref.rng.getstate()
+
+    for _ in range(20):
+        for level in (0, 1, 2, 3):
+            for length in (0, 1, 6):
+                same(new.word(length, level), _ref_word(ref, length, level))
+            same(new.letter(level), ref.rng.choice(TOWER.alphabet(level)))
+        for level in (1, 2, 3):
+            same(new.base_factor(level), _ref_base_factor(ref, level))
+            same(new.reduced_word(level, 2), _ref_reduced_word(ref, level, 2))
+        assert new.rational_unit() == _ref_rational_unit(ref)
+        assert new.rng.getstate() == ref.rng.getstate()

@@ -479,6 +479,26 @@ def test_conj_of_a_lattice_element_that_stays_in_k_skips_the_engine():
     assert image == tw.mul(tw.mul(h, g), tw.inv(h)) == tw.h(2, (2, 1, 0))
 
 
+def test_conj_of_a_lattice_element_outside_k_by_a_stable_power_skips_the_engine():
+    tw = Tower(PRIMES)
+    calls = []
+    engine, inverse = tw.mul, tw.inv
+    tw.mul = lambda a, b: calls.append(1) or engine(a, b)
+    tw.inv = lambda a: calls.append(1) or inverse(a)
+    sampler = Sampler(tw, seed=67)
+    for level in (2, 3, 4):  # K_0 is all of K, so level 1 has no such target
+        for m in (-2, -1, 1, 2):
+            h = tw.stable(level, m)
+            for _ in range(10):
+                g = sampler.lattice_word_escaping(level - 1)
+                calls.clear()
+                image = tw.conj(g, h)
+                assert not calls
+                expected = engine(engine(h, g), inverse(h))
+                assert image == expected and image.format() == expected.format()
+                assert image.exponents == (m, -m) and image.factors[1] is g
+
+
 _UNIT_VECTORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -756,6 +776,50 @@ def test_junction_splice_matches_the_token_engine(seed: int):
             for x in (a, b, undo):
                 inverse, expected = tw.inv(x), ref.inv(x)
                 assert inverse == expected and inverse.format() == expected.format(), x
+
+
+def _assert_reduced(tw: Tower, w: GroupWord) -> None:
+    """The reduced-word invariant at every level of w: at level L >= 1,
+    nonzero exponents, factors of lower level, and every non-identity
+    factor but the last outside the glued subgroup K_{L-1}."""
+    if w.level == 0:
+        assert not w.factors and not w.exponents
+        assert w.is_identity or not (w.g0.k.is_zero and w.g0.lam.is_identity)
+        return
+    assert w.g0 is None and len(w.factors) == len(w.exponents) + 1 >= 2
+    assert all(w.exponents)
+    for i, x in enumerate(w.factors):
+        assert x.level < w.level
+        if i < len(w.exponents) and not x.is_identity:
+            assert not tw.in_kn(x, w.level - 1), w.format()
+        _assert_reduced(tw, x)
+
+
+def test_products_and_conjugates_keep_the_reduced_word_invariant():
+    tw, ref = Tower(PRIMES), _TokenTower(PRIMES)
+    sampler = Sampler(tw, seed=61)
+    words = [sampler.word(6, level_cap=level) for level in (0, 1, 2, 3) for _ in range(30)]
+    words += [sampler.reduced_word(level, syllables=s)
+              for level in (1, 2, 3) for s in (1, 2, 3) for _ in range(3)]
+    for w in words:
+        _assert_reduced(tw, w)
+    rng = random.Random(61)
+    lower = 0
+    for _ in range(300):
+        a, b = rng.choice(words), rng.choice(words)
+        for x, y in ((a, b), (b, a)):
+            product = tw.mul(x, y)
+            _assert_reduced(tw, product)
+            if y.level < x.level:  # the right operand joins x's last factor
+                lower += 1
+                expected = ref.mul(x, y)
+                assert product == expected and product.format() == expected.format()
+    assert lower > 150
+    targets = words[::4] + [sampler.lattice_word(range(len(PRIMES))) for _ in range(30)]
+    for level in (1, 2, 3):
+        for m in (-2, -1, 1, 2):
+            for g in targets:
+                _assert_reduced(tw, tw.conj(g, tw.stable(level, m)))
 
 
 class _ProductCarryTower(Tower):
