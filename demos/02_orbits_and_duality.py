@@ -3,9 +3,9 @@ Orbit structure and blockwise duality
 =====================================
 
 The matrix group acts diagonally on products of coordinate blocks.  This
-script classifies the orbits, counts the invariant functions two
-independent ways, and moves between functions on a block and group
-algebra coefficients through the blockwise transform.
+script classifies the orbits, checks them against the zero patterns,
+counts the invariant functions, and moves between functions on a block
+and group algebra coefficients through the blockwise transform.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ for indices in ((0,), (0, 1), (0, 1, 2)):
         f" zero-pattern match: {agree}"
     )
 
-# The dimension of the invariant functions is computed by exact linear
-# algebra, independent of the orbit search, and equals the orbit count:
+# The dimension of the invariant functions is the number of classes of
+# the union-find the orbits come from, exact, one per zero pattern:
 for count in (1, 2, 3):
     dim = fixed_point_dimension(primes, tuple(range(count)))
     print(f"invariant functions on {count} block(s): dimension {dim} = 2^{count}")

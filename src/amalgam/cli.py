@@ -1,9 +1,11 @@
 """Command-line interface: element arithmetic and verification suites.
 
 Exit codes: 0 when everything passed, 1 when any check failed, 2 for
-unusable input or configuration (bad grammar, bad flags, bad primes).
-Only reading the input can exit 2: an error raised later, while
-computing, is reported as such (inside a suite, as that check's failure).
+unusable input or configuration (bad grammar, bad flags, bad primes, an
+--out destination that cannot be made).  Only reading the input, which
+prepares the report destination before any suite runs, can exit 2: an
+error raised later, while computing, is reported as such (inside a
+suite, as that check's failure).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from pathlib import Path
 from .grammar import parse_element
 from .orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES
 from .primes import PrimeSeq
-from .suites import SUITE_NAMES, Report, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .words import Tower
 
 __all__ = ["build_parser", "main"]
@@ -83,10 +85,11 @@ class _BadInput(Exception):
 
 @contextmanager
 def _reading_input():
-    """Map the ValueError/IndexError of parsing and validation to _BadInput."""
+    """Map the ValueError/IndexError of parsing and validation, and the
+    OSError of preparing an output destination, to _BadInput."""
     try:
         yield
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         raise _BadInput(str(exc)) from exc
 
 
@@ -119,9 +122,18 @@ def _run_elem(args) -> int:
     return 0
 
 
-def _write_report(report: Report, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(report.to_json())
+def _report_paths(out: str | None, names: tuple[str, ...]) -> list[Path]:
+    """Where each suite's report goes, its directory made: nothing without
+    --out, a file per suite in the directory `out` for 'all' or where `out`
+    is one, else the file `out`."""
+    if out is None:
+        return []
+    out = Path(out)
+    if len(names) > 1 or out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
+        return [out / f"{name}.json" for name in names]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return [out]
 
 
 def _run_verify(args) -> int:
@@ -137,18 +149,11 @@ def _run_verify(args) -> int:
         if args.size_guard is not None:
             kwargs["size_guard"] = args.size_guard
         config = SuiteConfig(**kwargs)
-    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+        names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+        paths = _report_paths(args.out, names)
     reports = [run_suite(name, config) for name in names]
-    if args.out is not None:
-        out = Path(args.out)
-        if args.suite == "all":
-            out.mkdir(parents=True, exist_ok=True)
-            for report in reports:
-                _write_report(report, out / f"{report.suite}.json")
-        elif out.is_dir():
-            _write_report(reports[0], out / f"{reports[0].suite}.json")
-        else:
-            _write_report(reports[0], out)
+    for report, path in zip(reports, paths):
+        path.write_text(report.to_json())
     for report in reports:
         for line in report.summary_lines():
             print(line)

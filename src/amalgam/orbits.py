@@ -3,10 +3,11 @@
 The twelve elementary generators act simultaneously on every chosen
 block (each reduced mod its own prime).  Points of the product space are
 handled as their integer codes (see `semidirect`), and each generator
-acts through its image table there.  This module computes the orbit
-partition of the product space by breadth-first search over those
-tables and, separately, the dimension of the space of invariant
-functions by a union-find on the codes, so the two can be compared.
+acts through its image table there.  One union-find on the codes,
+reading one table at a time, gives the classes of the action: the orbit
+partition numbers them, and the dimension of the space of invariant
+functions counts them.  Both are compared with the partition by zero
+pattern.
 A partition keeps its labels as an array indexed by point code; only
 the least point of each part is decoded to coordinate triples.
 """
@@ -69,6 +70,37 @@ class OrbitPartition:
         return len(self.block_sizes)
 
 
+def _classes(ps: tuple[int, ...], npoints: int) -> np.ndarray:
+    """`root[x]` is the least code in the class of x, the classes being
+    those of the equivalence generated by the pairs (x, g x), g a generator.
+
+    A union-find on integer codes that holds one generator's image table
+    at a time.  For each generator, every pair (x, g x) whose roots
+    differ hooks the larger root to the smaller one (the least wins where
+    several pairs hook the same root), then pointer jumping
+    `root = root[root]` flattens every chain; this repeats until no pair
+    of that generator has two roots.  Hooking only from a higher code to
+    a lower one keeps `root[x] <= x` throughout, so there are no cycles,
+    each round lowers the number of roots, every loop terminates, and a
+    root is the least code of its class.
+    """
+    root = np.arange(npoints)
+    for g in ELEMENTARY_GENERATORS:
+        image = product_image(ps, g)
+        while True:
+            a, b = root, root[image]
+            live = a != b
+            if not live.any():
+                break
+            a, b = a[live], b[live]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
+    return root
+
 
 def diagonal_orbits(
     primes: PrimeSeq,
@@ -76,36 +108,16 @@ def diagonal_orbits(
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> OrbitPartition:
     """Orbit partition of the product of the given blocks under the
-    diagonal action of the elementary generators (BFS closure on codes)."""
+    diagonal action of the elementary generators.
+
+    The generator set is inverse-closed, so the orbits are the classes of
+    the union-find on codes, numbered in order of their least code.
+    """
     indices = tuple(indices)
     ps = tuple(primes.p(n) for n in indices)
-    npoints = _check_size(ps, size_guard)
-
-    # the generator set is inverse-closed, so forward images reach the orbit
-    images = [product_image(ps, g) for g in ELEMENTARY_GENERATORS]
-    label = np.full(npoints, -1, dtype=np.int64)
-    starts: list[int] = []
-    unlabeled = np.flatnonzero(label < 0)
-    while unlabeled.size:
-        # the least unlabeled code starts the next block
-        start = int(unlabeled[0])
-        bid = len(starts)
-        starts.append(start)
-        label[start] = bid
-        frontier = np.array([start])
-        while frontier.size:
-            # each image is a permutation, so the points newly reached
-            # through one generator are distinct, and labelling them at
-            # once keeps them out of the later generators' parts
-            parts = []
-            for image in images:
-                reached = image[frontier]
-                reached = reached[label[reached] < 0]
-                label[reached] = bid
-                parts.append(reached)
-            frontier = np.concatenate(parts)
-        unlabeled = np.flatnonzero(label < 0)
-    return _partition(indices, ps, label, starts)
+    root = _classes(ps, _check_size(ps, size_guard))
+    starts = np.flatnonzero(root == np.arange(root.size))
+    return _partition(indices, ps, np.searchsorted(starts, root), starts)
 
 
 def _partition(
@@ -134,7 +146,7 @@ def zero_pattern_partition(
     """The partition of the product space by which positions are zero.
 
     Every part is a product over positions of either {0} or the nonzero
-    triples of that block.  This is the candidate answer the BFS orbit
+    triples of that block.  This is the candidate answer the orbit
     partition is compared against.  Parts are numbered in order of their
     least code.
     """
@@ -175,38 +187,11 @@ def fixed_point_dimension(
     F is invariant exactly when F(x) = F(g x) for every generator g and
     point x, so the dimension is the number of classes of the
     equivalence these pairs generate, and the rank of that linear system
-    is the number of points minus it.  The classes come from a union-find
-    on integer codes that reads only the generators' image tables: the
-    count is exact and independent of the BFS orbit computation.
-
-    `root[x]` is a code in the class of x.  For one generator at a time,
-    every pair (x, g x) whose roots differ hooks the larger root to the
-    smaller one (the least wins where several pairs hook the same root),
-    then pointer jumping `root = root[root]` flattens every chain; this
-    repeats until no pair of that generator has two roots.  Hooking only
-    from a higher code to a lower one keeps `root[x] <= x` throughout, so
-    there are no cycles, each round lowers the number of roots, and every
-    loop terminates.  The classes are the codes x with `root[x] == x`.
+    is the number of points minus it.  The count is exact: it is the
+    number of roots of the union-find on codes (`_classes`), which reads
+    only the generators' image tables.
     """
     indices = tuple(indices)
     ps = tuple(primes.p(n) for n in indices)
-    npoints = _check_size(ps, size_guard)
-
-    root = np.arange(npoints)
-    for g in ELEMENTARY_GENERATORS:
-        # one generator's pairs at a time: holding all twelve image
-        # tables at once would raise the peak memory by their size
-        image = product_image(ps, g)
-        while True:
-            a, b = root, root[image]
-            live = a != b
-            if not live.any():
-                break
-            a, b = a[live], b[live]
-            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-            while True:
-                jumped = root[root]
-                if np.array_equal(jumped, root):
-                    break
-                root = jumped
-    return int(np.count_nonzero(root == np.arange(npoints)))
+    root = _classes(ps, _check_size(ps, size_guard))
+    return int(np.count_nonzero(root == np.arange(root.size)))

@@ -395,9 +395,9 @@ def _fourier_checks(config: SuiteConfig) -> list:
 
 # ----------------------------------------------------------------------
 # xi: overlaps, exact invariance, violation probes; a row is charged for the
-# words it holds: block n's, which `xi` builds and `check_xi_invariance`
-# moves as point codes, or else the conjugators it tests with
-# `block_stabilized`, which builds none
+# words it holds: identity-overlap for block n's, which `xi` builds, every
+# other row for its conjugators, since `check_xi_invariance` and
+# `block_stabilized` are the level rule and build no word
 def _identity_overlap(ctx: _Context, n: int):
     tower = ctx.tower
     p = tower.primes.p(n)
@@ -478,7 +478,7 @@ def _xi_checks(config: SuiteConfig) -> list:
         for n in (cutoff + 1, cutoff + 2):
             params = {"cutoff": cutoff, "n": n}
             rows += [
-                ("invariance-letters", params, _invariance_letters, _cube(config, n)),
+                ("invariance-letters", params, _invariance_letters, letters),
                 ("invariance-length-2", params, _invariance_length_2, letters + 1),
                 ("invariance-core-length-3", params, _invariance_core_length_3,
                  core + core**2 + 1),

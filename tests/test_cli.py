@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from amalgam import suites
+from amalgam import cli, suites
 from amalgam.cli import main
 from amalgam.suites import SUITE_NAMES
 from amalgam.words import Tower
@@ -187,6 +187,21 @@ def test_verify_all_writes_one_file_per_suite(capsys, tmp_path):
     assert out.splitlines()[-1].startswith("PASS:")
 
 
+@pytest.mark.parametrize("suite, destination", [
+    ("all", "taken"), ("bound", "taken/bound.json"),
+], ids=["all", "bound"])
+def test_unusable_out_exits_2_before_any_suite_runs(capsys, monkeypatch, tmp_path, suite,
+                                                    destination):
+    # an existing file cannot be the reports' directory, nor their parent
+    (tmp_path / "taken").write_text("")
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, config: ran.append(name))
+    code, out, err = run(capsys, "verify", suite, "--primes", "2",
+                         "--out", str(tmp_path / destination))
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("error: ")
+
+
 def test_large_growth_radius_skips_the_rows_past_the_size_guard(capsys, tmp_path):
     # a short input may not ask for hours: each conjugate-growth row that
     # would pass the guard is a skip, and the saturating lattice rows pass
@@ -214,12 +229,13 @@ def test_large_growth_radius_skips_the_rows_past_the_size_guard(capsys, tmp_path
 @pytest.mark.parametrize("args, guarded", [
     (("xi", "--primes", "211,3,5,7,11", "--samples", "5"), 1),
     (("fourier", "--primes", "23"), 5),
-], ids=["xi", "fourier"])
+    (("xi", "--primes", "2,3,211", "--samples", "5"), 1),
+], ids=["xi", "fourier", "xi-third"])
 def test_large_first_prime_runs_inside_two_gib(args, guarded):
-    # block 0 mod 211 has 9.4M words and mod 23 a 148M-entry table: the
+    # a block mod 211 has 9.4M words and mod 23 a 148M-entry table: the
     # rows that build them are skips at the default guard, before anything
-    # is built, and every other row runs (xi's block-0 violation searches
-    # test conjugators on three unit vectors, so only identity-overlap skips)
+    # is built, and every other row runs (the other xi rows hold only their
+    # conjugators, so only identity-overlap skips)
     result = run_bounded(("verify", *args), seconds=120, address_space=2 << 30)
     assert result.returncode == 0, result.stderr
     over = re.findall(r"\[SKIP\] .*\(holds \d+ entries, above the guard of 10000000\)",

@@ -44,7 +44,7 @@ def _lex_points(p: int) -> list[tuple[int, int, int]]:
 
 
 def test_act_mod_p_matches_matrix_action():
-    # the code permutation the orbit search walks sends each point of a
+    # the code permutation the orbit union-find reads sends each point of a
     # block to its image under the matrix, as the blockwise action does
     rng = random.Random(2)
     for _ in range(60):
@@ -153,27 +153,28 @@ def test_fixed_point_dimension_at_a_million_points():
     assert fixed_point_dimension(PRIMES, (1, 2, 3)) == 8
 
 
-def _component_count(n, maps):
-    """Connected components of the graph with an edge x -- m[x] per map."""
+def _components(n, maps):
+    """Each point's connected component in the graph with an edge
+    x -- m[x] per map, components numbered in order of their least point."""
     adjacent = [[] for _ in range(n)]
     for m in maps:
         for x, y in enumerate(m):
             adjacent[x].append(y)
             adjacent[y].append(x)
-    seen = [False] * n
+    component = [-1] * n
     count = 0
     for start in range(n):
-        if seen[start]:
+        if component[start] >= 0:
             continue
-        count += 1
-        seen[start] = True
+        component[start] = count
         queue = deque([start])
         while queue:
             for y in adjacent[queue.popleft()]:
-                if not seen[y]:
-                    seen[y] = True
+                if component[y] < 0:
+                    component[y] = count
                     queue.append(y)
-    return count
+        count += 1
+    return component
 
 
 def _pivot_walk_dimension(n, maps):
@@ -240,15 +241,19 @@ def _point_maps(draw):
 )
 @given(_point_maps())
 def test_fixed_point_dimension_on_random_maps(case):
-    # the union-find must count the classes of any maps handed to it,
-    # not only of the permutations the generators induce
+    # the union-find must find the classes of any maps handed to it, not
+    # only of the permutations the generators induce: the dimension
+    # counts them and the partition numbers them by least point
     n, maps = case
-    images = iter([np.array(m, dtype=np.int64) for m in maps])
+    images = iter([np.array(m, dtype=np.int64) for m in maps * 2])
     with pytest.MonkeyPatch.context() as mp, time_limit(1.0):
         mp.setattr(orbits, "_check_size", lambda ps, guard: n)
         mp.setattr(orbits, "product_image", lambda ps, g: next(images))
         dim = fixed_point_dimension(PRIMES, ())
-    assert dim == _component_count(n, maps) == _pivot_walk_dimension(n, maps)
+        part = diagonal_orbits(PRIMES, ())
+    component = _components(n, maps)
+    assert part.labels.tolist() == component
+    assert dim == part.block_count == max(component) + 1 == _pivot_walk_dimension(n, maps)
 
 
 def test_size_guard_raises():

@@ -446,6 +446,29 @@ def test_orbits_suite_keeps_no_block_table_after_it_returns():
     assert kept < 1 << 20, kept
 
 
+def test_orbits_rows_at_two_primes_peak_under_50_mb():
+    # blocks (0, 1) at 47,2,3 are 830,584 points, and the three-prime rows
+    # skip at the guard: the orbit partition holds one generator's image
+    # table at a time, so its row peaks where the dimension's row does
+    # (47.4 MB; 101.5 MB while all twelve tables were held at once)
+    config = SuiteConfig(primes=PrimeSeq.parse("47,2,3"))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_suite("orbits", config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    rows = [c for c in report.checks if c["parameters"]["primes"] == [47, 2]]
+    assert [c["check"] for c in rows] == ["diagonal-orbit-blocks", "fixed-point-dimension"]
+    assert all(c["outcome"] == "pass" for c in rows)
+    assert peak < 50_000_000, peak
+
+
 def test_run_all_returns_report_per_suite():
     reports = run_all(TINY)
     assert tuple(reports) == SUITE_NAMES
