@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--level", type=int, default=3)
     verify.add_argument("--samples", type=int, default=None)
     verify.add_argument(
-        "--size-guard", type=int, default=None, dest="size_guard",
+        "--size-guard", type=int, default=DEFAULT_SIZE_GUARD, dest="size_guard",
         help=f"most integer entries a check may hold, a kept word counting as {WORD_ENTRIES} "
              f"(default {DEFAULT_SIZE_GUARD}); a check that would hold more is skipped",
     )
@@ -138,17 +138,10 @@ def _report_paths(out: str | None, names: tuple[str, ...]) -> list[Path]:
 
 def _run_verify(args) -> int:
     with _reading_input():
-        kwargs = {
-            "primes": _primes(args),
-            "seed": args.seed,
-            "tolerance": args.tolerance,
-            "radius": args.radius,
-            "level": args.level,
-            "samples": args.samples,
-        }
-        if args.size_guard is not None:
-            kwargs["size_guard"] = args.size_guard
-        config = SuiteConfig(**kwargs)
+        config = SuiteConfig(
+            primes=_primes(args), seed=args.seed, tolerance=args.tolerance, radius=args.radius,
+            level=args.level, samples=args.samples, size_guard=args.size_guard,
+        )
         names = SUITE_NAMES if args.suite == "all" else (args.suite,)
         paths = _report_paths(args.out, names)
     reports = [run_suite(name, config) for name in names]
@@ -157,16 +150,10 @@ def _run_verify(args) -> int:
     for report in reports:
         for line in report.summary_lines():
             print(line)
-    passed = all(report.passed for report in reports)
-    counts = {"pass": 0, "fail": 0, "skip": 0}
-    for report in reports:
-        for key, value in report.counts.items():
-            counts[key] += value
-    print(
-        f"{'PASS' if passed else 'FAIL'}: "
-        f"{counts['pass']} passed, {counts['fail']} failed, {counts['skip']} skipped"
-    )
-    return 0 if passed else 1
+    passed, failed, skipped = (
+        sum(report.counts[key] for report in reports) for key in ("pass", "fail", "skip"))
+    print(f"{'FAIL' if failed else 'PASS'}: {passed} passed, {failed} failed, {skipped} skipped")
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,8 @@ coefficients, bit for bit in the complex case (see `_convolve_block`).
 
 The pairing is a read-only p^3 x p^3 table in the smallest unsigned dtype
 that holds p - 1, built on first use and cached for at most `_TABLES`
-primes while p^6 <= `_CACHED_ENTRIES`; larger ones are built per call.
+primes while p^3 <= `semidirect._CACHED_POINTS` (p <= 11), as the image
+tables are; larger ones are built per call.
 """
 from __future__ import annotations
 
@@ -33,13 +34,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, sqrt
-from numbers import Integral, Rational
-from typing import Mapping
+from numbers import Rational
 
 import numpy as np
 
 from .matrices import LambdaMatrix
-from .semidirect import codes, image_table, points
+from .semidirect import _CACHED_POINTS, image_table, points
 from .words import GroupWord, Tower
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
 
 
 _TABLES = 8  # primes whose pairing table stays cached
-_CACHED_ENTRIES = 1 << 22  # largest cached pairing, in entries: p <= 11
 _ROWS = 64  # left points per scatter in `_convolve_block`
 
 
@@ -69,28 +68,12 @@ _cached_pairing = lru_cache(maxsize=_TABLES)(_build_pairing)
 
 def _pairing(p: int) -> np.ndarray:
     """<x, y> mod p over pairs of lex points, to index a table of p roots."""
-    return (_cached_pairing if p**6 <= _CACHED_ENTRIES else _build_pairing)(p)
+    return (_cached_pairing if p**3 <= _CACHED_POINTS else _build_pairing)(p)
 
 
 def transform_matrix(p: int) -> np.ndarray:
     """Matrix of the function-to-coefficients map in the lex point basis."""
     return (np.exp(-2j * np.pi * np.arange(p) / p) / p**3)[_pairing(p)]
-
-
-def _as_values(p: int, f) -> np.ndarray:
-    if isinstance(f, Mapping):
-        for pt in f:
-            if not (isinstance(pt, tuple) and len(pt) == 3
-                    and all(isinstance(x, Integral) and 0 <= x < p for x in pt)):
-                raise ValueError(f"key {pt!r} is not a point of a block mod {p}: "
-                                 f"need three integers in 0..{p - 1}")
-        values = np.zeros(p**3, dtype=complex)
-        values[codes(np.reshape(list(f), (-1, 3)), p)] = [complex(v) for v in f.values()]
-        return values
-    arr = np.asarray(f, dtype=complex).reshape(-1)
-    if arr.shape != (p**3,):
-        raise ValueError(f"need {p**3} values for a block mod {p}, got {arr.shape}")
-    return arr
 
 
 def _abs_squared(c):
@@ -124,10 +107,6 @@ class GroupAlgebraElement:
                 prev = coeffs.get(w)
                 coeffs[w] = c if prev is None else prev + c
         self.coeffs = {w: c for w, c in coeffs.items() if c != 0}
-
-    @classmethod
-    def basis(cls, word: GroupWord, coeff=Fraction(1)) -> "GroupAlgebraElement":
-        return cls(word.tower, {word: coeff})
 
     def coefficient(self, word: GroupWord):
         return self.coeffs.get(self.tower.key(word) if word.level else word, 0)
@@ -311,12 +290,12 @@ def _convolve_block(tower: Tower, n: int, left: list, right: list) -> dict | Non
 def fourier(tower: Tower, n: int, f) -> GroupAlgebraElement:
     """Function on block n -> coefficients on the group basis of that block.
 
-    `f` is an array over the lex point order, or a mapping from points
-    (triples of integers in 0..p-1) to values, zero at the points it leaves
-    out; a key that is not such a point raises ValueError.
+    `f` holds the p^3 values of the function over the lex point order.
     """
     p = tower.primes.p(n)
-    values = _as_values(p, f)
+    values = np.asarray(f, dtype=complex).reshape(-1)
+    if values.shape != (p**3,):
+        raise ValueError(f"need {p**3} values for a block mod {p}, got {values.shape}")
     coeff = transform_matrix(p) @ values
     return GroupAlgebraElement(tower, dict(zip(tower.block(n), coeff.tolist())))  # drops zeros
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from typing import NoReturn
 
-from .matrices import IDENTITY_MATRIX, LambdaMatrix
+from .matrices import IDENTITY_MATRIX
 from .semidirect import G0Element
 from .words import GroupWord, Tower
 
@@ -122,7 +122,7 @@ def _atom(tower: Tower, first: str, values: list[int], end: int) -> GroupWord:
             raise UnconfiguredPrimeError(str(exc)) from None
     if first == "L":
         try:
-            return tower.lam(LambdaMatrix((tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9]))))
+            return tower.lam((values[0:3], values[3:6], values[6:9]))
         except ValueError as exc:
             raise ElementSyntaxError(str(exc), end)
     if first == "t":

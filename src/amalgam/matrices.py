@@ -1,7 +1,8 @@
 """Integer 3x3 determinant-one matrices and their elementary-generator balls.
 
-Validation happens at the boundary: `LambdaMatrix(rows)` checks the shape
-and the determinant, and `Tower.lam` and the element grammar build their
+Validation happens at the boundary: `LambdaMatrix(rows)` checks the shape,
+the entries (integers by `operator.index`, stored as plain ints) and the
+determinant, and `Tower.lam` and the element grammar build their
 matrices through it.  Products, inverses and transposes of such matrices
 have determinant 1 because the determinant is multiplicative (and
 invariant under transposition), so they are built by the private
@@ -26,6 +27,8 @@ identity word is still that word.
 from __future__ import annotations
 
 from functools import lru_cache
+
+from .primes import _integer
 
 __all__ = [
     "LambdaMatrix",
@@ -91,6 +94,7 @@ class LambdaMatrix(_Immutable):
     def __new__(cls, rows: Rows) -> "LambdaMatrix":
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError(f"need a 3x3 matrix, got {rows!r}")
+        rows = tuple(tuple(_integer(e, "matrix entries must be integers") for e in r) for r in rows)
         d = _det3(rows)
         if d != 1:
             raise ValueError(f"matrix determinant must be 1, got {d}")
@@ -191,7 +195,7 @@ def elementary(i: int, j: int, amount: int) -> LambdaMatrix:
         raise ValueError(f"elementary slot must be off-diagonal, got ({i}, {j})")
     rows = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
     rows[i][j] = amount
-    return LambdaMatrix(tuple(tuple(r) for r in rows))
+    return LambdaMatrix(rows)
 
 
 # The twelve one-step generators: both signs in each off-diagonal slot,

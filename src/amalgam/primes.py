@@ -14,6 +14,15 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DECIDED_BELOW = 318_665_857_834_031_151_167_461
 
 
+def _integer(value, rule: str) -> int:
+    """`value` as a plain int, np.int64 included; ValueError "<rule>, got
+    <value>" for what `operator.index` refuses, such as floats and strings."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{rule}, got {value!r}") from None
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the prime bases 2..37, in O(log n)
     multiplications; ValueError from _DECIDED_BELOW (about 3.2e23) on."""
@@ -59,13 +68,8 @@ class PrimeSeq:
     primes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        primes = []
-        for p in self.primes:
-            try:
-                primes.append(operator.index(p))  # plain ints, np.int64 included
-            except TypeError:
-                raise ValueError(f"primes must be integers, got {p!r}") from None
-        object.__setattr__(self, "primes", tuple(primes))
+        primes = tuple(_integer(p, "primes must be integers") for p in self.primes)
+        object.__setattr__(self, "primes", primes)
         if not self.primes:
             raise ValueError("prime sequence must be nonempty")
         for p in self.primes:

@@ -52,16 +52,11 @@ class Sampler:
 
     def word(self, length: int, level_cap: int, block_cap: int = 3) -> GroupWord:
         """Product of 1..max(1, length) uniform letters (reduced along the way)."""
-        tw = self.tower
+        tw, rng = self.tower, self.rng
         letters = tw.alphabet(level_cap, block_cap)
-        n = len(letters)
-        k, bits = n.bit_length(), self.rng.getrandbits
         w = tw.identity()
-        for _ in range(1 + _below(self.rng, max(1, length))):
-            r = bits(k)  # _below, inline
-            while r >= n:
-                r = bits(k)
-            w = tw.mul(w, letters[r])
+        for _ in range(1 + _below(rng, max(1, length))):
+            w = tw.mul(w, letters[_below(rng, len(letters))])
         return w
 
     def base_factor(self, level: int) -> GroupWord:
@@ -119,17 +114,11 @@ class Sampler:
     # ------------------------------------------------------------------
     # lattice elements
     def block_triple(self, block: int, nonzero: bool = False) -> tuple[int, int, int]:
-        p = self.tower.primes.p(block)
-        k, bits = p.bit_length(), self.rng.getrandbits
+        p, rng = self.tower.primes.p(block), self.rng
         while True:
-            coords = []
-            for _ in range(3):
-                r = bits(k)  # _below, inline
-                while r >= p:
-                    r = bits(k)
-                coords.append(r)
+            coords = (_below(rng, p), _below(rng, p), _below(rng, p))
             if not nonzero or any(coords):
-                return tuple(coords)
+                return coords
 
     def lattice_word(self, blocks, nonzero: bool = False) -> GroupWord:
         """Element of the base lattice supported inside the given distinct blocks:

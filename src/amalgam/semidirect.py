@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .matrices import IDENTITY_MATRIX, LambdaMatrix, _ID_ROWS, _Immutable, _unguarded
-from .primes import PrimeSeq
+from .primes import PrimeSeq, _integer
 
 __all__ = [
     "KVector",
@@ -115,10 +115,11 @@ class KVector(_Immutable):
 
     @classmethod
     def from_mapping(cls, primes: PrimeSeq, blocks: Mapping[int, Iterable[int]]) -> "KVector":
+        blocks = {_integer(n, "block indices must be integers"): c for n, c in blocks.items()}
         items = []
         for n in sorted(blocks):
             p = primes.p(n)
-            c = tuple(int(x) % p for x in blocks[n])
+            c = tuple(_integer(x, "coordinates must be integers") % p for x in blocks[n])
             if len(c) != 3:
                 raise ValueError(f"block {n} needs 3 coordinates, got {c}")
             if c != (0, 0, 0):

@@ -38,7 +38,7 @@ from .orbits import (
     DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded, diagonal_orbits,
     fixed_point_dimension, partitions_agree, zero_pattern_partition,
 )
-from .primes import PrimeSeq
+from .primes import PrimeSeq, _integer
 from . import primes as _primes_mod
 from .sampling import Sampler
 from .tailbound import (
@@ -69,6 +69,10 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "primes", _primes_mod.as_prime_seq(self.primes))
+        for name in ("radius", "level", "samples", "size_guard"):
+            value = getattr(self, name)
+            if value is not None or name != "samples":  # samples=None: each check's default
+                object.__setattr__(self, name, _integer(value, f"{name} must be an integer"))
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.radius < 0:
@@ -646,20 +650,26 @@ _SUITES = {
 }
 
 
-def _run_checks(suite: str, config: SuiteConfig) -> list[dict]:
-    """Record each row's fn(context, **parameters) -> (outcome, extra), in order.
+def run_suite(name: str, config: SuiteConfig | None = None) -> Report:
+    """Run one named suite: each row's fn(context, **parameters) -> (outcome,
+    extra) is recorded in table order.
 
     A skip carries its reason in extra as {"reason": ...}.  A row that needs
     more primes than are configured, or more entries than the guard, is a
     skip that calls nothing; SizeGuardExceeded (conjugate growth) is a skip
     too.  Any other exception is the check's failure, with an `error` field
     "<Type>: <message>" and the traceback on stderr, so the suite runs on.
+    An unknown name raises ValueError.
     """
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    config = config or SuiteConfig()
+    started = time.perf_counter()
     tower = Tower(config.primes)
     context = _Context(config, tower, Sampler(tower, config.seed))
     checks = []
-    for check, parameters, fn, needs, entries in _SUITES[suite](config):
-        started = time.perf_counter()
+    for check, parameters, fn, needs, entries in _SUITES[name](config):
+        row_started = time.perf_counter()
         try:
             if needs > len(config.primes):
                 outcome, extra = "skip", {"reason": f"needs at least {needs} primes"}
@@ -674,26 +684,13 @@ def _run_checks(suite: str, config: SuiteConfig) -> list[dict]:
             traceback.print_exc(file=sys.stderr)
             outcome, extra = "fail", {"error": f"{type(exc).__name__}: {exc}"}
         checks.append({
-            "suite": suite,
+            "suite": name,
             "check": check,
             "parameters": dict(parameters),
             "outcome": outcome,
-            "elapsed_s": round(time.perf_counter() - started, 6),
+            "elapsed_s": round(time.perf_counter() - row_started, 6),
             **extra,
         })
-    return checks
-
-
-def run_suite(name: str, config: SuiteConfig | None = None) -> Report:
-    """Run one named suite (or 'all' for every suite, concatenated)."""
-    config = config or SuiteConfig()
-    started = time.perf_counter()
-    if name == "all":
-        checks = [c for suite in SUITE_NAMES for c in _run_checks(suite, config)]
-    elif name in _SUITES:
-        checks = _run_checks(name, config)
-    else:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     return Report(name, config, checks, round(time.perf_counter() - started, 6))
 
 

@@ -43,7 +43,8 @@ element, and a two-way cache would let the order of earlier calls decide
 which one later results (and reports) are built from.
 
 Validation happens at the boundary: `Tower.h`, `k_vector`, `lam` and the
-element grammar build their parts through the checking constructors, and
+element grammar build their parts through the checking constructors,
+`Tower.stable` takes only an integer level and power, and
 `Tower.mul`/`inv`/`eq` (and so `conj`) and the membership predicates refuse
 words of a tower with other primes.  Results of arithmetic are built from
 such parts by the private trusted constructor `_word` without re-checking
@@ -79,7 +80,7 @@ from .matrices import (
     _unguarded,
 )
 from .orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded
-from .primes import PrimeSeq
+from .primes import PrimeSeq, _integer
 from .semidirect import G0Element, KVector, Triple, ZERO_K, _g0, _kvec, points
 from . import primes as _primes_mod
 
@@ -245,11 +246,13 @@ class Tower:
     def lam(self, matrix: LambdaMatrix | Sequence[Sequence[int]]) -> GroupWord:
         """Pure matrix element."""
         if not isinstance(matrix, LambdaMatrix):
-            matrix = LambdaMatrix(tuple(tuple(int(e) for e in row) for row in matrix))
+            matrix = LambdaMatrix(matrix)
         return self.g0(G0Element(ZERO_K, matrix))
 
     def stable(self, level: int, power: int = 1) -> GroupWord:
         """The stable letter t(level) raised to `power`."""
+        level = _integer(level, "stable levels must be integers")
+        power = _integer(power, "stable powers must be integers")
         if level < 1:
             raise ValueError(f"stable letters start at level 1, got {level}")
         if power == 0:
@@ -297,14 +300,6 @@ class Tower:
     # the rewriting engine, over the syllable lists of a word being built
     # at `level`: `factors` holds one more entry than `exponents`
 
-    def _times(self, x: GroupWord, y: GroupWord) -> GroupWord:
-        """x * y, with no product taken when either side is the identity."""
-        if y.is_identity:
-            return x
-        if x.is_identity:
-            return y
-        return self.mul(x, y)
-
     def _push(self, factors: list, exponents: list, m: int, x: GroupWord, level: int) -> bool:
         """Append t(level)^m * x; True when t^m starts a new syllable.
 
@@ -318,13 +313,13 @@ class Tower:
                 if not self.in_kn(z, level - 1):
                     factors.append(z)
                     break
-                factors[-1] = self._times(factors[-1], z)
+                factors[-1] = self.mul(factors[-1], z)
             m += exponents.pop()
         if m:
             exponents.append(m)
             factors.append(x)
             return True
-        factors[-1] = self._times(factors[-1], x)
+        factors[-1] = self.mul(factors[-1], x)
         return False
 
     def _build(self, factors: list, exponents: list, level: int) -> GroupWord:
@@ -335,7 +330,7 @@ class Tower:
             # a leading glued-subgroup factor commutes rightwards across
             # the first stable power and folds into the next factor
             factors[0] = self._identity
-            factors[1] = self._times(z, factors[1])
+            factors[1] = self.mul(z, factors[1])
         return _word(self, level, None, tuple(factors), tuple(exponents))
 
     def _check(self, w: GroupWord) -> None:
@@ -366,12 +361,12 @@ class Tower:
         if a.level == 0 and b.level == 0:
             return self.g0(a.g0.mul(b.g0, self.primes))
         if b.level < a.level:
-            last = self._times(a.factors[-1], b)
+            last = self.mul(a.factors[-1], b)
             return _word(self, a.level, None, a.factors[:-1] + (last,), a.exponents)
         level = b.level
         factors, exponents = (list(a.factors), list(a.exponents)) if a.level == level else ([a], [])
         b_factors, b_exponents = b.factors, b.exponents
-        factors[-1] = self._times(factors[-1], b_factors[0])
+        factors[-1] = self.mul(factors[-1], b_factors[0])
         for j, m in enumerate(b_exponents, 1):
             if self._push(factors, exponents, m, b_factors[j], level):
                 # from a new syllable on, the rest of b is already reduced
@@ -472,9 +467,9 @@ class Tower:
             return w
         out, carry = [], self._identity
         for x in w.factors[:-1]:
-            c, carry = self._split(self.key(self._times(carry, x)), w.level - 1)
+            c, carry = self._split(self.key(self.mul(carry, x)), w.level - 1)
             out.append(c)
-        out.append(self.key(self._times(carry, w.factors[-1])))
+        out.append(self.key(self.mul(carry, w.factors[-1])))
         if all(c is x for c, x in zip(out, w.factors)):
             return w
         return _word(self, w.level, None, tuple(out), w.exponents)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from amalgam.grammar import ElementSyntaxError, parse_element
@@ -26,6 +27,15 @@ def test_identity_and_validation():
         LambdaMatrix(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValueError, match="3x3"):
         LambdaMatrix(((1, 0), (0, 1)))
+
+
+def test_matrix_entries_must_be_integers():
+    # a float of determinant 1 is refused, not kept with an inverse holding -0.5
+    for bad in (0.5, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"^matrix entries must be integers, got {bad!r}$"):
+            LambdaMatrix(((1, bad, 0), (0, 1, 0), (0, 0, 1)))
+    m = LambdaMatrix(np.array([[1, 2, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int64))
+    assert m == elementary(0, 1, 2) and all(type(e) is int for r in m.rows for e in r)
 
 
 def test_elementary_slots_and_inverses():
@@ -185,3 +195,11 @@ def test_boundary_constructors_still_validate():
     with pytest.raises(ElementSyntaxError, match="determinant"):
         parse_element(tower, "L[1,1,0;1,1,0;0,0,1]")
     assert tower.lam([[1, 2, 0], [0, 1, 0], [0, 0, 1]]).g0.lam == elementary(0, 1, 2)
+
+
+def test_lam_refuses_non_integer_entries():
+    # 2.9 was once cast to 2
+    tower = Tower((2, 3))
+    with pytest.raises(ValueError, match="matrix entries must be integers, got 2.9"):
+        tower.lam(((1, 2.9, 0), (0, 1, 0), (0, 0, 1)))
+    assert tower.lam(np.eye(3, dtype=np.int32)).is_identity

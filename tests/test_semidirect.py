@@ -11,6 +11,7 @@ from amalgam import semidirect
 from amalgam.matrices import ELEMENTARY_GENERATORS, IDENTITY_MATRIX, elementary, generator_ball
 from amalgam.primes import PrimeSeq
 from amalgam.semidirect import G0Element, KVector, ZERO_K, codes, image_table, points
+from amalgam.words import Tower
 
 PRIMES = PrimeSeq.parse("2,3,5")
 GENS = [elementary(i, j, s) for i in range(3) for j in range(3) if i != j for s in (1, -1)]
@@ -36,6 +37,23 @@ def test_from_mapping_drops_zero_blocks_and_sorts():
     assert v.support == (0, 2)
     with pytest.raises(ValueError, match="3 coordinates"):
         KVector.from_mapping(PRIMES, {0: (1,)})
+
+
+def test_coordinates_and_block_indices_must_be_integers():
+    # 1.7 and "2" were once read as 1 and 2, through KVector.from_mapping
+    for bad in (1.7, "2", 2.0):
+        with pytest.raises(ValueError, match=f"^coordinates must be integers, got {bad!r}$"):
+            KVector.from_mapping(PRIMES, {1: (bad, 0, 0)})
+    tower = Tower(PRIMES)
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        tower.h(1, (1.7, 0, 0))
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        tower.k_vector({0: (1, 0, 0), 1: ("2", 0, 0)})
+    assert tower.h(1, np.array([4, 1, 0])).g0.k.items == ((1, (1, 1, 0)),)
+    # a block index too: 1.0 raised TypeError, and True was kept as the index
+    with pytest.raises(ValueError, match="^block indices must be integers, got 1.0$"):
+        tower.h(1.0, (1, 0, 0))
+    assert tower.h(True, (1, 0, 0)).format() == tower.h(np.int64(1), (1, 0, 0)).format() == "h(1;1,0,0)"
 
 
 def test_add_is_blockwise_mod_p():

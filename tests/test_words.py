@@ -44,6 +44,15 @@ def test_stable_letter_levels(tw: Tower):
     assert tw.eq(tw.mul(t1, t1), tw.stable(1, 2))
 
 
+def test_stable_level_and_power_must_be_integers(tw: Tower):
+    # t(1)^1.5 and t(1.0) were once built and formatted as such
+    with pytest.raises(ValueError, match="^stable powers must be integers, got 1.5$"):
+        tw.stable(1, 1.5)
+    with pytest.raises(ValueError, match="^stable levels must be integers, got 1.0$"):
+        tw.stable(1.0)
+    assert tw.stable(np.int64(2), np.int32(-3)).format() == "t(2)^-3"
+
+
 def test_stable_commutes_with_high_blocks(tw: Tower):
     # The level-m letter centralizes exactly the blocks n >= m - 1, so the
     # conjugate demotes back to the base group and equals the input.
@@ -310,14 +319,21 @@ def test_atom_power_formats_like_linear_product(tw: Tower):
 
 
 def test_power_makes_logarithmically_many_products():
+    # only the products `__pow__` asks for count, not the engine's own
+    # calls of `mul` on the factors inside them
     tower = Tower(PRIMES)
-    calls = 0
+    calls = depth = 0
     mul = tower.mul
 
     def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return mul(a, b)
+        nonlocal calls, depth
+        if depth == 0:
+            calls += 1
+        depth += 1
+        try:
+            return mul(a, b)
+        finally:
+            depth -= 1
 
     tower.mul = counted
     m = 1_000_000
