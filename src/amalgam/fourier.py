@@ -136,10 +136,10 @@ class GroupAlgebraElement:
         left, right = list(self.coeffs.items()), list(other.coeffs.items())
         exact = self.is_exact() and other.is_exact()
         if exact:
-            da = lcm(*(Fraction(c).denominator for _, c in left))
-            db = lcm(*(Fraction(c).denominator for _, c in right))
-            left = [(w, int(c * da)) for w, c in left]
-            right = [(w, int(c * db)) for w, c in right]
+            da = lcm(*(c.denominator for _, c in left))
+            db = lcm(*(c.denominator for _, c in right))
+            left = [(w, int(c.numerator) * (da // c.denominator)) for w, c in left]
+            right = [(w, int(c.numerator) * (db // c.denominator)) for w, c in right]
         acc = None
         if exact or all(type(c) is complex for _, c in itertools.chain(left, right)):
             block = _single_block(tw, itertools.chain(self.coeffs, other.coeffs))

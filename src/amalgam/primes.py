@@ -62,7 +62,8 @@ class PrimeSeq:
     """An explicit finite prefix p_0, p_1, ... of distinct primes.
 
     Index n hosts a rank-3 coordinate block mod p_n.  Operations that
-    would need an index beyond the configured prefix raise IndexError.
+    would need an index beyond the configured prefix raise IndexError, and
+    an index that is not an integer raises ValueError.
     """
 
     primes: tuple[int, ...]
@@ -105,13 +106,17 @@ class PrimeSeq:
 
     def p(self, n: int) -> int:
         """The prime at index n."""
+        # one comparison and one lookup on the valid path, which samplers take
+        # per draw; a bad index is sorted out once the lookup has failed
+        try:
+            if n >= 0:
+                return self.primes[n]
+        except (TypeError, IndexError):
+            pass
+        n = _integer(n, "prime indices must be integers")
         if n < 0:
             raise IndexError(f"prime index {n} is negative")
-        if n >= len(self.primes):
-            raise IndexError(
-                f"prime index {n} not configured (only {len(self.primes)} primes)"
-            )
-        return self.primes[n]
+        raise IndexError(f"prime index {n} not configured (only {len(self.primes)} primes)")
 
     def cube(self, n: int) -> int:
         """Size p_n**3 of the rank-3 block at index n."""

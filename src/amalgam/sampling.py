@@ -6,7 +6,9 @@ Each index below n is drawn by `_below`: n.bit_length() bits from
 `getrandbits`, drawn again while they reach n.  That is the draw
 `randrange(n)`, `randint` and `choice` make in CPython, value for value,
 but the stream depends on `getrandbits` alone, not on `randrange`'s
-private algorithm; floats come from `random()`.
+private algorithm; floats come from `random()`.  A rational unit k/d is
+read from a table of the 2d+1 reduced fractions that each sampler builds
+on first use of d, with the draws unchanged.
 
 A lattice sample is one vector built from its drawn (block, triple) pairs,
 with the draws a product of per-block `Tower.h` words would take.  A bad
@@ -43,6 +45,7 @@ class Sampler:
     def __init__(self, tower: Tower, seed: int = 0):
         self.tower = tower
         self.rng = random.Random(seed)
+        self._units: dict[int, tuple[Fraction, ...]] = {}  # denominator d -> k/d for k in -d..d
 
     # ------------------------------------------------------------------
     # words
@@ -165,7 +168,13 @@ class Sampler:
         """Rational in [-1, 1]; hits the endpoints with positive probability."""
         if self.rng.random() < 0.2:
             return Fraction((-1, 1)[_below(self.rng, 2)])
-        return Fraction(_below(self.rng, 2 * denominator + 1) - denominator, denominator)
+        k = _below(self.rng, 2 * denominator + 1)
+        units = self._units.get(denominator)
+        if units is None:
+            units = self._units[denominator] = tuple(
+                Fraction(j, denominator) for j in range(-denominator, denominator + 1)
+            )
+        return units[k]
 
     def unit_ball_values(self, count: int) -> list[Fraction]:
         return [self.rational_unit() for _ in range(count)]

@@ -69,7 +69,7 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "primes", _primes_mod.as_prime_seq(self.primes))
-        for name in ("radius", "level", "samples", "size_guard"):
+        for name in ("seed", "radius", "level", "samples", "size_guard"):
             value = getattr(self, name)
             if value is not None or name != "samples":  # samples=None: each check's default
                 object.__setattr__(self, name, _integer(value, f"{name} must be an integer"))
@@ -358,17 +358,15 @@ def _pointwise_to_convolution(ctx: _Context, p: int, n: int):
 
 
 def _projection_identities(ctx: _Context, p: int, n: int):
-    en = projection_en(ctx.tower, n)
+    en, mass = projection_en(ctx.tower, n), Fraction(1, p**3)
     idempotent = en.mul(en).equals(en)
-    trace_ok = en.trace() == Fraction(1, p**3)
+    trace_ok = en.trace() == mass
     adjoint_ok = en.star().equals(en)
-    uniform = en.support_size == p**3 and all(
-        c == Fraction(1, p**3) for c in en.coeffs.values()
-    )
+    uniform = en.support_size == p**3 and all(c == mass for c in en.coeffs.values())
     ok = idempotent and trace_ok and adjoint_ok and uniform
     return _verdict(ok), {
         "idempotent": idempotent,
-        "trace": Fraction(1, p**3) if trace_ok else en.trace(),
+        "trace": mass if trace_ok else en.trace(),
         "self_adjoint": adjoint_ok,
         "support": en.support_size,
     }

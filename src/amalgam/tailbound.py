@@ -11,12 +11,18 @@ arithmetic; floats appear only in the reported readings.  The deviation
 check sums integers: atom masses M_i over D = prod p_n^3 and values V_i
 over their common denominator B give, with S1 = sum M_i V_i and
 S2 = sum M_i V_i^2, mean = S1 / (D B) and, as sum M_i = D, squared
-deviation (D S2 - S1^2) / (D B)^2.
+deviation (D S2 - S1^2) / (D B)^2.  Each value is read as a (numerator,
+denominator) pair, straight off an `int` or a `Fraction`, and a `Fraction`
+is built only for the mean and the squared deviation it returns.  The
+per-window constants, the numerators M_i, D, 16 epsilon and its square
+root, are cached by the primes of the window, for the 64 most
+recently used windows.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -103,6 +109,11 @@ def atom_mass(primes: PrimeSeq, first: int, bits: Sequence[int]) -> Fraction:
 
 def _as_ratio(value) -> tuple[int, int]:
     """Lowest-terms (numerator, denominator) of an exact real value."""
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is Fraction:
+        return value.numerator, value.denominator
     if isinstance(value, Rational):
         return int(value.numerator), int(value.denominator)
     if isinstance(value, float):
@@ -111,9 +122,14 @@ def _as_ratio(value) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=64)
-def _atom_numerators(cubes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Lex atom masses as integer numerators over their denominator prod(cubes)."""
-    return tuple(map(math.prod, itertools.product(*((q - 1, 1) for q in cubes)))), math.prod(cubes)
+def _atom_numerators(primes: tuple[int, ...]) -> tuple[tuple[int, ...], int, Fraction, float]:
+    """The window constants of `primes`: lex atom masses as integer numerators
+    over their denominator d = prod p^3, then 16 epsilon and its square root."""
+    cubes = [p**3 for p in primes]
+    masses = tuple(map(math.prod, itertools.product(*((q - 1, 1) for q in cubes))))
+    d = math.prod(cubes)
+    bound_squared = Fraction(16 * (d - masses[0]), d)  # masses[0] / d is the tail trace
+    return masses, d, bound_squared, math.sqrt(bound_squared)
 
 
 @dataclass(frozen=True)
@@ -142,32 +158,30 @@ def deviation_bound_check(
     """
     seq = _primes_mod.as_prime_seq(primes)
     window = _window(seq, first, last)
-    points = atom_points(len(window))
     if isinstance(values, Mapping):
+        points = atom_points(len(window))
         missing = [pt for pt in points if pt not in values]
         if missing:
             raise ValueError(f"function is missing {len(missing)} atoms, first {missing[0]}")
         table = [_as_ratio(values[pt]) for pt in points]
     else:
         table = [_as_ratio(v) for v in values]
-        if len(table) != len(points):
-            raise ValueError(f"expected {len(points)} atom values, got {len(table)}")
+        if len(table) != 1 << len(window):
+            raise ValueError(f"expected {1 << len(window)} atom values, got {len(table)}")
     for num, den in table:
         if abs(num) > den:
             raise ValueError(f"sup-norm exceeds 1 at value {Fraction(num, den)}")
-    masses, d = _atom_numerators(tuple(seq.cube(n) for n in window))
+    masses, d, bound_squared, bound = _atom_numerators(seq.primes[first : last + 1])
     scale = math.lcm(*(den for _, den in table))
     ints = [num * (scale // den) for num, den in table]
-    s1 = sum(m * v for m, v in zip(masses, ints))
-    s2 = sum(m * v * v for m, v in zip(masses, ints))
-    mean = Fraction(s1, d * scale)
+    weighted = list(map(operator.mul, masses, ints))
+    s1, s2 = sum(weighted), sum(map(operator.mul, weighted, ints))
     lhs_squared = Fraction(d * s2 - s1 * s1, (d * scale) ** 2)
-    bound_squared = Fraction(16 * (d - masses[0]), d)  # 16 epsilon: masses[0] / d is the tail trace
     return DeviationReport(
         passed=lhs_squared <= bound_squared,
         lhs=math.sqrt(lhs_squared),
-        bound=math.sqrt(bound_squared),
+        bound=bound,
         lhs_squared=lhs_squared,
         bound_squared=bound_squared,
-        mean=mean,
+        mean=Fraction(s1, d * scale),
     )

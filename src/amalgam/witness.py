@@ -109,9 +109,9 @@ def block_stabilized(tower: Tower, n: int, g: GroupWord) -> bool:
     x_r^{-1}, would lie in it), as do x_1, ..., x_{r-1}, so g v g^{-1} is
     a reduced word of level L, outside K.  So the answer is n >= L-1,
     that is g in G_{n+1}, and no word is built.  A block n with no
-    configured prime raises IndexError, and a word of a tower with other
-    primes ValueError.  Equivalent to check_xi_invariance without the
-    domain restriction.
+    configured prime raises IndexError, and a non-integer n or a word of
+    a tower with other primes ValueError.  Equivalent to
+    check_xi_invariance without the domain restriction.
     """
     tower.primes.p(n)
     return tower.in_gn(g, n + 1)

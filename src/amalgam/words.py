@@ -516,6 +516,8 @@ class Tower:
         of the first `block_cap` configured blocks.  The tuple is memoized
         per tower and key, so every caller shares the same letters.
         """
+        level_cap = _integer(level_cap, "level caps must be integers")
+        block_cap = _integer(block_cap, "block caps must be integers")
         key = (level_cap, block_cap)
         if key not in self._alphabet_cache:
             letters: dict[GroupWord, None] = {}

@@ -408,6 +408,28 @@ def test_one_block_convolution_matches_pair_loop(tw7: Tower, n: int, seed: int):
     assert len(calls) == (0 if pairs >= p**3 else pairs)
 
 
+def test_one_block_convolution_reads_every_exact_coefficient_type(tw7: Tower):
+    rng = random.Random(31)
+    kinds = (
+        lambda: rng.randint(-5, 5),
+        lambda: True,
+        lambda: np.int64(rng.randint(-5, 5)),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+    )
+    words = tw7.block(1)
+    for size_a, size_b in ((27, 9), (4, 4)):  # 27 * 9 pairs take the block path, 16 the pair loop
+        a, b = (
+            GroupAlgebraElement(tw7, {w: kinds[i % 4]() for i, w in enumerate(rng.sample(words, size))})
+            for size in (size_a, size_b)
+        )
+        with _counted_tower_mul(tw7) as calls:
+            product = a.mul(b)
+        pairs = a.support_size * b.support_size
+        assert len(calls) == (0 if pairs >= 27 else pairs)
+        assert list(product.coeffs.items()) == list(_reference_product(a, b).items())
+        assert all(type(c) is Fraction and type(c.numerator) is int for c in product.coeffs.values())
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_projection_square_matches_pair_loop(tw7: Tower, n: int):
     en = projection_en(tw7, n)

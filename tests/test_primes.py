@@ -90,6 +90,21 @@ def test_unconfigured_index_raises():
         seq.p(2)
 
 
+def test_prime_indices_must_be_integers():
+    # p(1.0) and cube(1.0) once raised TypeError from tuple indexing
+    seq = PrimeSeq.parse("2,3")
+    for bad in (1.0, -1.0, 5.0, "1", None):
+        for lookup in (seq.p, seq.cube):
+            rule = f"^prime indices must be integers, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=rule):
+                lookup(bad)
+    assert seq.p(np.int64(1)) == seq.p(True) == 3 and seq.cube(np.int32(0)) == 8
+    with pytest.raises(IndexError, match="^prime index -1 is negative$"):
+        seq.p(np.int64(-1))
+    with pytest.raises(IndexError, match="not configured"):
+        seq.cube(10**30)
+
+
 def test_tower_accepts_a_prime_list_string():
     assert tuple(Tower("2,3").primes) == (2, 3)
     assert tuple(Tower("7").primes) == (7,)

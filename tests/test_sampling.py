@@ -23,6 +23,9 @@ def test_same_seed_same_stream():
     words_a = [Sampler(TOWER, seed=5).word(4, 2) for _ in range(1)]
     words_c = [c.word(4, 2) for _ in range(1)]
     assert not all(TOWER.eq(x, y) for x, y in zip(words_a, words_c))
+    # each sampler builds its own table of rational units: a fresh one repeats the values
+    values = Sampler(TOWER, seed=5).unit_ball_values(200)
+    assert Sampler(TOWER, seed=5).unit_ball_values(200) == values
 
 
 def test_word_respects_level_cap():
@@ -279,6 +282,15 @@ def _ref_rational_unit(s: Sampler, denominator: int = 99):
     if s.rng.random() < 0.2:
         return Fraction(s.rng.choice((-1, 1)))
     return Fraction(s.rng.randint(-denominator, denominator), denominator)
+
+
+@pytest.mark.parametrize("denominator", [1, 7, 99])
+def test_rational_units_match_the_randrange_draws(denominator):
+    new, ref = Sampler(TOWER, seed=denominator), Sampler(TOWER, seed=denominator)
+    for _ in range(300):
+        got = new.rational_unit(denominator)
+        assert type(got) is Fraction and got == _ref_rational_unit(ref, denominator)
+        assert new.rng.getstate() == ref.rng.getstate()
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -99,14 +99,16 @@ def test_config_validation():
 
 
 def test_config_counts_must_be_integers():
-    # samples=2.5 was once accepted and failed bound's unit-ball check with a TypeError
-    for name in ("radius", "level", "samples", "size_guard"):
+    # samples=2.5 was once accepted and failed bound's unit-ball check with a TypeError,
+    # and seed=2.5 was reported as "seed": 2.5
+    for name in ("seed", "radius", "level", "samples", "size_guard"):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
             SuiteConfig(**{name: 2.5})
     assert SuiteConfig(samples=None).samples is None
-    config = SuiteConfig(radius=np.int64(2), level=np.int8(2), samples=np.int32(3),
-                         size_guard=np.int64(10**6))
-    assert json.loads(json.dumps(config.payload()))["samples"] == 3
+    config = SuiteConfig(seed=np.int64(4), radius=np.int64(2), level=np.int8(2),
+                         samples=np.int32(3), size_guard=np.int64(10**6))
+    payload = json.loads(json.dumps(config.payload()))
+    assert (payload["seed"], payload["samples"]) == (4, 3)
 
 
 def test_report_json_shape():

@@ -4,8 +4,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from numbers import Rational
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from amalgam.primes import PrimeSeq
 from amalgam.sampling import Sampler
@@ -188,3 +192,103 @@ def test_common_denominator_matches_per_atom_fractions(window):
                 assert report == expected, kind
                 assert type(report.lhs_squared) is Fraction and type(report.mean) is Fraction
 
+
+
+# --- the integer sums against the check done Fraction by Fraction ---
+
+DEFAULT = PrimeSeq.default()
+
+
+def _fraction_reference(primes, first, last, values) -> DeviationReport:
+    """The deviation check with each value a Fraction and every sum a Fraction
+    sum, raising what the check raises, in the same order."""
+    points = atom_points(last - first + 1)
+    if isinstance(values, dict):
+        missing = [pt for pt in points if pt not in values]
+        if missing:
+            raise ValueError(f"function is missing {len(missing)} atoms, first {missing[0]}")
+        raw = [values[pt] for pt in points]
+    else:
+        raw = list(values)
+    table = []
+    for v in raw:
+        if isinstance(v, Rational):
+            table.append(Fraction(int(v.numerator), int(v.denominator)))
+        elif isinstance(v, float):
+            table.append(Fraction(v))
+        else:
+            raise TypeError(
+                f"function values must be real rationals or floats, got {type(v).__name__}"
+            )
+    if len(table) != len(points):
+        raise ValueError(f"expected {len(points)} atom values, got {len(table)}")
+    for v in table:
+        if abs(v) > 1:
+            raise ValueError(f"sup-norm exceeds 1 at value {v}")
+    masses = [atom_mass(primes, first, pt) for pt in points]
+    mean = sum((m * v for m, v in zip(masses, table)), Fraction(0))
+    lhs_squared = sum((m * (v - mean) ** 2 for m, v in zip(masses, table)), Fraction(0))
+    bound_squared = 16 * (1 - tail_trace(primes, first, last))
+    return DeviationReport(
+        passed=lhs_squared <= bound_squared,
+        lhs=math.sqrt(lhs_squared),
+        bound=math.sqrt(bound_squared),
+        lhs_squared=lhs_squared,
+        bound_squared=bound_squared,
+        mean=mean,
+    )
+
+
+_UNIT_VALUES = st.one_of(
+    st.integers(-1, 1),
+    st.booleans(),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    st.floats(-1, 1),
+    st.integers(-1, 1).map(np.int64),
+)
+_FAULTS = ("missing", "length", "sup", "non-real")
+
+
+@st.composite
+def _deviation_inputs(draw):
+    first = draw(st.integers(0, len(DEFAULT) - 1))
+    last = draw(st.integers(first, min(first + 3, len(DEFAULT) - 1)))
+    points = atom_points(last - first + 1)
+    values = draw(st.lists(_UNIT_VALUES, min_size=len(points), max_size=len(points)))
+    fault = draw(st.sampled_from((None,) * 4 + _FAULTS))
+    at = draw(st.integers(0, len(points) - 1))
+    if fault == "sup":
+        values[at] = draw(st.sampled_from((2, -2, Fraction(3, 2), -1.5, np.int64(7))))
+    elif fault == "non-real":
+        values[at] = draw(st.sampled_from((1j, "1", None, np.float64(0.5) * 1j)))
+    elif fault == "length":
+        values = values[:at] if draw(st.booleans()) else values + [0]
+    as_mapping = draw(st.booleans())
+    if as_mapping:
+        values = dict(zip(points, values))
+        if fault == "missing":
+            del values[points[at]]
+    return first, last, values
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(_deviation_inputs())
+def test_integer_sums_match_the_fraction_by_fraction_check(case):
+    got = _outcome(deviation_bound_check, DEFAULT, *case)
+    expected = _outcome(_fraction_reference, DEFAULT, *case)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert (got.passed, got.mean, got.lhs_squared, got.bound_squared) == (
+        expected.passed, expected.mean, expected.lhs_squared, expected.bound_squared
+    )
+    assert (got.lhs.hex(), got.bound.hex()) == (expected.lhs.hex(), expected.bound.hex())
+    assert type(got.mean) is type(got.lhs_squared) is type(got.bound_squared) is Fraction

@@ -193,6 +193,15 @@ def test_alphabet_contents(tw: Tower):
     assert other == letters and other is not letters
 
 
+def test_alphabet_caps_must_be_integers():
+    # alphabet(1.5) once raised TypeError from range
+    tw = Tower(PRIMES)
+    for caps, name, bad in (((1.5,), "level", 1.5), ((1, 2.0), "block", 2.0), (("1",), "level", "'1'")):
+        with pytest.raises(ValueError, match=f"^{name} caps must be integers, got {bad}$"):
+            tw.alphabet(*caps)
+    assert tw.alphabet(np.int64(1), np.int32(2)) is tw.alphabet(1, 2)
+
+
 # Frozen oracle: conjugate-counting growth profiles at radii 0..3.  The
 # matrix row was recomputed by brute force over plain generator balls
 # ({m g m^-1 : |m| <= r}); the lattice row is the orbit filling of a unit
@@ -284,6 +293,16 @@ def test_block_words_in_lex_order_and_memoized(tw: Tower):
             tw.h(n, (1, 0, 0)), tw.h(n, (0, 1, 0)), tw.h(n, (0, 0, 1))
         )
     assert Tower(tw.primes).block(1) is not tw.block(1)
+
+
+def test_block_index_must_be_an_integer():
+    # block(1.0) once raised TypeError from tuple indexing
+    tw = Tower(PRIMES)
+    with pytest.raises(ValueError, match="^prime indices must be integers, got 1.0$"):
+        tw.block(1.0)
+    with pytest.raises(IndexError, match="not configured"):
+        tw.block(3)
+    assert tw.block(np.int64(1)) == tw.block(1)
 
 
 def test_a_tower_keeps_only_the_last_block_built():
