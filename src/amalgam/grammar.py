@@ -9,10 +9,13 @@
 
 Integers are an optional sign and ASCII digits 0-9; any other digit is a
 syntax error, and so is an integer with more digits than Python's int()
-converts.  Whitespace (every character for which `str.isspace` is
-true) is insignificant.  Each atom's tokens are declared once and compiled
-to one pattern, `^m` tail included; where it fails, the same tokens are
-walked one at a time, so syntax errors report the offset that failed.
+converts.  Whitespace (every character for which `str.isspace` is true,
+which are the characters the patterns' whitespace class matches) is
+insignificant.  A term whose text is not in the tower's cache (below)
+is matched by its atom's pattern: each atom's tokens are declared once
+and compiled to one pattern, `^m` tail included; where it fails, the
+same tokens are walked one at a time, so syntax errors report the
+offset that failed.
 
 A parsed element is also rejected, as an ElementSyntaxError, when its
 matrix entries outgrow MAX_ENTRY_BITS bits, summed over its syllables.
@@ -23,8 +26,12 @@ parsed elements stays within Python's default limit of 4300 digits for
 printing an int.
 
 Each tower keeps the terms it has parsed (an atom with its `^m` tail),
-keyed by the term's text, so a text that comes back is matched but not
-converted, validated and built again.  The cache holds TERM_CACHE_SIZE
+keyed by the term's text without the spaces around it.  A term's text
+runs to the next `*` (no term has one) or to the end of the text, and
+it is looked up before anything else: a text that comes back is not
+matched, converted, validated or built again.  Only the text of one
+whole term is ever a key, so text that is not one misses and takes the
+matching path, which raises its error.  The cache holds TERM_CACHE_SIZE
 terms of at most TERM_CACHE_TEXT characters, the first ones seen, and
 adds none once full, so its memory is bounded by constants.  It keeps
 no word: a level-0 term is kept as its G0Element and a stable power as
@@ -73,8 +80,6 @@ _ATOMS = {tokens[0]: tokens for tokens in (  # keyed by the first character
 )}
 _SPACE = re.compile(r"\s*")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_STAR = re.compile(r"\s*\*\s*")
-_END = re.compile(r"\s*\Z")
 
 
 def _compile(tokens: tuple) -> tuple[re.Pattern, int]:
@@ -174,13 +179,6 @@ def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
     m = pattern and pattern.match(text, pos)
     if not m:
         _fail(text, pos)
-    key = m.group(0).rstrip()  # a tail of spaces is not part of the term
-    cache = tower._term_cache
-    hit = cache.get(key)
-    if hit is not None:
-        part, bits = hit
-        word = tower.g0(part) if type(part) is G0Element else tower.stable(*part)
-        return word, bits, m.end()
     end = m.start(count + 1)
     word = _atom(tower, first, [_int(m, i) for i in range(1, count + 1)], end)
     if m.group(count + 2) is not None:
@@ -195,6 +193,8 @@ def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
                     raise _too_large(end)
         word = word**power
     bits = _bounded(word, end)
+    cache = tower._term_cache
+    key = m.group(0).rstrip()  # a tail of spaces is not part of the term
     if len(cache) < TERM_CACHE_SIZE and len(key) <= TERM_CACHE_TEXT:
         # a term above level 0 is a stable power t(N)^m
         cache[key] = (word.g0 if word.level == 0 else (word.level, word.exponents[0]), bits)
@@ -203,20 +203,39 @@ def _term(tower: Tower, text: str, pos: int) -> tuple[GroupWord, int, int]:
 
 def parse_element(tower: Tower, text: str) -> GroupWord:
     """Parse element text into a reduced word over `tower`."""
-    start = _SPACE.match(text).end()
-    word, bits, pos = _term(tower, text, start)
-    while not _END.match(text, pos):
-        start = (_STAR.match(text, pos) or _fail(text, start)).end()
-        term, term_bits, pos = _term(tower, text, start)
-        word = tower.mul(word, term)
-        # `bits` bounds the entry bits of `word` from above: a term has at
-        # most one syllable with a matrix other than the identity, and one
-        # matrix product adds at most 2 bits (|(AB)_ij| <= 3 max|A| max|B|),
-        # so the exact count is needed only once the bound passes the cap
-        bits += term_bits + 2
-        if bits > MAX_ENTRY_BITS:
-            bits = _bounded(word, pos)
-    return word
+    cache = tower._term_cache
+    word = None
+    pos = 0  # where the next term's text starts, spaces included
+    while True:
+        stop = text.find("*", pos)  # no term has a '*' in it
+        if stop < 0:
+            stop = len(text)
+        hit = cache.get(text[pos:stop].strip())
+        if hit is None:
+            start = _SPACE.match(text, pos).end()
+            term, term_bits, end = _term(tower, text, start)
+        else:
+            part, term_bits = hit
+            term = tower.g0(part) if type(part) is G0Element else tower.stable(*part)
+            end = stop  # where its match ends, if no ^m tail ends it earlier
+        if word is None:
+            word, bits = term, term_bits
+        else:
+            word = tower.mul(word, term)
+            # `bits` bounds the entry bits of `word` from above: a term has at
+            # most one syllable with a matrix other than the identity, and one
+            # matrix product adds at most 2 bits (|(AB)_ij| <= 3 max|A| max|B|),
+            # so the exact count is needed only once the bound passes the cap
+            bits += term_bits + 2
+            if bits > MAX_ENTRY_BITS:
+                if hit is not None and "^" in text[pos:stop]:
+                    end = pos + len(text[pos:stop].rstrip())  # after the ^m digits
+                bits = _bounded(word, end)
+        if end < stop and text[end:stop].strip():  # more than spaces after the term
+            _fail(text, start)
+        if stop == len(text):
+            return word
+        pos = stop + 1
 
 
 def format_element(word: GroupWord) -> str:

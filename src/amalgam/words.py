@@ -185,7 +185,7 @@ def _word(tower: "Tower", level: int, g0=None, factors=(), exponents=()) -> Grou
     return w
 
 
-_SUBGROUP_RE = re.compile(r"^(K|G)_?(\d+)$|^(K)$|^(Lambda|L)$")
+_SUBGROUP_RE = re.compile(r"^(K|G)_?([0-9]+)$|^(K)$|^(Lambda|L)$")
 
 
 class Tower:

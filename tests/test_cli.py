@@ -62,6 +62,13 @@ def test_elem_member(capsys):
     assert code == 0 and out.strip() == "false"
 
 
+@pytest.mark.parametrize("sub", ["G١", "K٣"])
+def test_elem_member_non_ascii_digits_exit_2(capsys, sub: str):
+    code, out, err = run(capsys, "elem", "member", "t(1)", sub)
+    assert code == 2 and out == ""
+    assert "unknown subgroup" in err
+
+
 def test_primes_flag_positions(capsys):
     before = run(capsys, "--primes", "2,3", "elem", "reduce", "h(1;1,1,1)")
     after = run(capsys, "elem", "reduce", "--primes", "2,3", "h(1;1,1,1)")

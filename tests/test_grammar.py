@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import gc
+import re
+import sys
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -171,6 +173,12 @@ ERRORS = [
      "element too large: matrix entries exceed 3000 bits", 53),
     (f"{HYPERBOLIC}^2000 * L[1,{2**1500},0;0,1,0;0,0,1]  * e", ElementSyntaxError,
      "element too large: matrix entries exceed 3000 bits", len(f"{HYPERBOLIC}^2000 * L[1,{2**1500},0;0,1,0;0,0,1]  ")),
+    # the same on terms a warm tower has cached: the offset after a power's
+    # digits, and after the spaces of a term without a power
+    (f"{HYPERBOLIC}^2000 * {HYPERBOLIC}^2000  ", ElementSyntaxError,
+     "element too large: matrix entries exceed 3000 bits", 53),
+    (f"{HYPERBOLIC}^2000" + f" * {HYPERBOLIC}  " * 161 + "* e", ElementSyntaxError,
+     "element too large: matrix entries exceed 3000 bits", len(f"{HYPERBOLIC}^2000" + f" * {HYPERBOLIC}  " * 161)),
     ("t(1)^", ElementSyntaxError, "expected an integer", 5),
     ("t(1) ^ x", ElementSyntaxError, "expected an integer", 7),
     ("t(1)^- 1", ElementSyntaxError, "expected an integer", 5),
@@ -357,3 +365,65 @@ def test_term_cache_holds_no_word():
         seen.add(id(obj))
         assert not isinstance(obj, (GroupWord, Tower))
         stack.extend(gc.get_referents(obj))
+
+
+_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def test_regex_spaces_are_the_isspace_characters():
+    # a term's text is looked up stripped by str.strip and matched with \s
+    assert "".join(re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1))))) == _SPACES
+
+
+def _parsed(tower: Tower, text: str) -> tuple:
+    """The word and its format, or the error's type, message and offset."""
+    try:
+        word = parse_element(tower, text)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "position", None)
+    return word, word.format()
+
+
+@st.composite
+def _spaced_texts(draw):
+    """One to three atoms with powers, spaced with any whitespace around the
+    terms, the '*' and the '^'; sometimes with junk after a term or a '*'
+    left out.  Returns the text and its terms."""
+    space = st.text(_SPACES, max_size=2)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        term = draw(st.sampled_from(_ATOM_TEXTS + (HYPERBOLIC,) * 4))
+        if draw(st.booleans()):
+            term += draw(space) + "^" + draw(space) + str(draw(st.sampled_from((-1, 2, -3, 1100, -1100, 2000))))
+        terms.append(term)
+    text = draw(space)
+    for i, term in enumerate(terms):
+        if i:
+            star = draw(st.sampled_from(("*",) * 7 + ("",)))  # a missing '*' one time in eight
+            text += draw(space) + star + draw(space)
+        text += term
+        if draw(st.integers(0, 7)) == 0:
+            text += draw(space) + draw(st.sampled_from(("q", "e", "t(1)", "^2", ")", "1")))
+    return text + draw(space), terms
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_spaced_texts())
+def test_cached_terms_parse_as_on_a_fresh_tower(text_terms: tuple[str, list[str]]):
+    text, terms = text_terms
+    warm = Tower(PRIMES)
+    for term in _ATOM_TEXTS + tuple(terms):
+        parse_element(warm, term)
+    assert all(term in warm._term_cache for term in terms)
+    assert _parsed(warm, text) == _parsed(Tower(PRIMES), text)
+
+
+def test_cached_terms_with_each_space_parse_as_on_a_fresh_tower():
+    for space in _SPACES:
+        warm = Tower(PRIMES)
+        for term in _ATOM_TEXTS:
+            parse_element(warm, f"{term}{space}^{space}-2")
+        texts = [space.join(("", term, "^", "-2", "*", term, "^", "-2", "")) for term in _ATOM_TEXTS]
+        texts += [f"{space}t(1){space}^{space}-2{space}q", f"t(1){space}^{space}-2{space}e"]
+        for text in texts:
+            assert _parsed(warm, text) == _parsed(Tower(PRIMES), text), repr(text)

@@ -119,7 +119,8 @@ def test_random_unit_ball_passes():
         values = sampler.unit_ball_values(8)
         report = deviation_bound_check(PRIMES, 0, 2, values)
         assert report.passed
-        assert report.lhs == report.lhs_squared ** Fraction(1, 2) or report.lhs >= 0
+        assert report.lhs == math.sqrt(report.lhs_squared)
+        assert report.bound == math.sqrt(report.bound_squared)
 
 
 def test_rejects_out_of_ball_values():

@@ -115,6 +115,13 @@ def test_membership_matrix(tw: Tower):
         tw.membership(t1, "Q7")
 
 
+@pytest.mark.parametrize("sub", ["G١", "K٣", "G_١", "G1١"])
+def test_membership_refuses_non_ascii_digits(tw: Tower, sub: str):
+    # as in the element grammar, only ASCII 0-9 are digits
+    with pytest.raises(ValueError, match="unknown subgroup"):
+        tw.membership(tw.stable(1), sub)
+
+
 def test_commuting_product_demotes_level(tw: Tower):
     # t(1) K t(1)^-1 = K, so t(1) k t(1)^-1 k' is again a lattice word.
     t1 = tw.stable(1)
