@@ -26,6 +26,11 @@ The pairing is a read-only p^3 x p^3 table in the smallest unsigned dtype
 that holds p - 1, built on first use and cached for at most `_TABLES`
 primes while p^3 <= `semidirect._CACHED_POINTS` (p <= 11), as the image
 tables are; larger ones are built per call.
+
+numpy is loaded on first use (see `_numpy`) by the transforms, the
+intertwiner check and a convolution on one block.  The pair-loop
+convolution, the inner product and the rest of `GroupAlgebraElement`
+never load it, so `witness` and `sampling` work without it.
 """
 from __future__ import annotations
 
@@ -36,8 +41,7 @@ from functools import lru_cache
 from math import lcm, sqrt
 from numbers import Rational
 
-import numpy as np
-
+from . import _numpy as np
 from .matrices import LambdaMatrix
 from .semidirect import _CACHED_POINTS, image_table, points
 from .words import GroupWord, Tower

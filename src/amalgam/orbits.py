@@ -10,6 +10,8 @@ functions counts them.  Both are compared with the partition by zero
 pattern.
 A partition keeps its labels as an array indexed by point code; only
 the least point of each part is decoded to coordinate triples.
+Everything here is a block computation on numpy arrays, and the first
+call loads numpy (see `_numpy`); importing the module does not.
 """
 from __future__ import annotations
 
@@ -17,8 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from .matrices import ELEMENTARY_GENERATORS
 from .primes import PrimeSeq
 from .semidirect import Triple, points, product_image

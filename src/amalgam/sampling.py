@@ -23,6 +23,7 @@ import random
 from fractions import Fraction
 
 from .fourier import GroupAlgebraElement
+from .primes import _integer
 from .words import GroupWord, Tower
 
 __all__ = ["Sampler"]
@@ -44,7 +45,7 @@ class Sampler:
 
     def __init__(self, tower: Tower, seed: int = 0):
         self.tower = tower
-        self.rng = random.Random(seed)
+        self.rng = random.Random(_integer(seed, "seed must be an integer"))
         self._units: dict[int, tuple[Fraction, ...]] = {}  # denominator d -> k/d for k in -d..d
 
     # ------------------------------------------------------------------
@@ -56,6 +57,7 @@ class Sampler:
     def word(self, length: int, level_cap: int, block_cap: int = 3) -> GroupWord:
         """Product of 1..max(1, length) uniform letters (reduced along the way)."""
         tw, rng = self.tower, self.rng
+        length = _integer(length, "word lengths must be integers")
         letters = tw.alphabet(level_cap, block_cap)
         w = tw.identity()
         for _ in range(1 + _below(rng, max(1, length))):

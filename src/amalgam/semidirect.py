@@ -21,14 +21,17 @@ mixed-radix code of its per-block codes, again its lexicographic index.
 action on one block as a permutation of codes, by linearity over the
 block's three axes; it is cached only for p <= 11, the primes whose
 pairing `fourier` caches, so no larger table outlives the row that built it.
+
+Only these four block functions use numpy, through `_numpy`, which
+imports it on first use: `KVector` and `G0Element` arithmetic, and so
+every word operation built on it, never loads numpy.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from .matrices import IDENTITY_MATRIX, LambdaMatrix, _ID_ROWS, _Immutable, _unguarded
 from .primes import PrimeSeq, _integer
 

@@ -29,8 +29,7 @@ import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from . import _numpy as np
 from .fourier import check_intertwiner, fourier, inverse_fourier, projection_en
 from .grammar import parse_element
 from .matrices import ELEMENTARY_GENERATORS, generator_ball

@@ -68,6 +68,7 @@ target goes to the engine.  The same rule decides both block checks in
 """
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Iterable, Sequence
 
@@ -81,7 +82,7 @@ from .matrices import (
 )
 from .orbits import DEFAULT_SIZE_GUARD, WORD_ENTRIES, SizeGuardExceeded
 from .primes import PrimeSeq, _integer
-from .semidirect import G0Element, KVector, Triple, ZERO_K, _g0, _kvec, points
+from .semidirect import G0Element, KVector, Triple, ZERO_K, _g0, _kvec
 from . import primes as _primes_mod
 
 __all__ = ["GroupWord", "Tower"]
@@ -130,6 +131,7 @@ class GroupWord(_Immutable):
 
     def __pow__(self, n: int) -> "GroupWord":
         """Integer power by repeated squaring: O(log |n|) products."""
+        n = _integer(n, "exponents must be integers")
         tower = self.tower
         base = tower.inv(self) if n < 0 else self
         n = abs(n)
@@ -231,7 +233,8 @@ class Tower:
         if n not in self._block_cache:
             self._block_cache.clear()
             p = self.primes.p(n)
-            self._block_cache[n] = tuple(self.h(n, x) for x in points(range(p**3), p).tolist())
+            points = itertools.product(range(p), repeat=3)  # lexicographic: code order
+            self._block_cache[n] = tuple(self.h(n, x) for x in points)
         return self._block_cache[n]
 
     def k_vector(self, blocks: dict[int, Iterable[int]]) -> GroupWord:
@@ -548,6 +551,8 @@ class Tower:
         each, bound what it can hold; past `size_guard` it raises
         `SizeGuardExceeded`, so a profile that saturates runs to any radius.
         """
+        radius = _integer(radius, "radius must be an integer")
+        size_guard = _integer(size_guard, "size guard must be an integer")
         if g.is_identity:
             raise ValueError("conjugate growth of the identity is not defined")
         if radius < 0:

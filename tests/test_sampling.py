@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from amalgam.fourier import GroupAlgebraElement
@@ -26,6 +27,20 @@ def test_same_seed_same_stream():
     # each sampler builds its own table of rational units: a fresh one repeats the values
     values = Sampler(TOWER, seed=5).unit_ball_values(200)
     assert Sampler(TOWER, seed=5).unit_ball_values(200) == values
+
+
+def test_seed_and_word_length_must_be_integers():
+    # a seed of 2.5 was once accepted, and word(2.0, 1) raised AttributeError
+    for bad in (2.5, "1", None):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad!r}$"):
+            Sampler(TOWER, seed=bad)
+    with pytest.raises(ValueError, match="^word lengths must be integers, got 2.0$"):
+        Sampler(TOWER, seed=1).word(2.0, 1)
+    reference = Sampler(TOWER, seed=1)
+    words = [reference.word(4, 2) for _ in range(10)]
+    for seed, length in ((np.int64(1), np.int32(4)), (True, 4)):
+        s = Sampler(TOWER, seed=seed)
+        assert [s.word(length, 2) for _ in range(10)] == words
 
 
 def test_word_respects_level_cap():

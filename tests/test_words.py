@@ -187,6 +187,16 @@ def test_power_matches_repeated_mul(tw: Tower):
         assert tw.eq(w**-2, tw.inv(tw.mul(w, w)))
 
 
+def test_power_exponent_must_be_an_integer(tw: Tower):
+    # w ** 2.0 once raised TypeError from `&`, and w ** "2" from `<`
+    w = tw.mul(tw.stable(1), tw.h(1, (1, 2, 0)))
+    for bad in (2.0, "2", None):
+        with pytest.raises(ValueError, match=f"^exponents must be integers, got {bad!r}$"):
+            w ** bad
+    assert w ** np.int64(3) == w ** 3 and w ** np.int32(-2) == w ** -2
+    assert w ** True is w and (w ** False).is_identity
+
+
 def test_alphabet_contents(tw: Tower):
     letters = tw.alphabet(level_cap=2)
     assert all(any(tw.eq(tw.inv(l), m) for m in letters) for l in letters[:10])
@@ -245,6 +255,18 @@ def test_conjugate_growth_guard_bounds_each_radius(tw: Tower):
     assert tw.conjugate_growth_profile(growing, 1, size_guard=416) == (1, 13)
 
 
+def test_conjugate_growth_radius_and_guard_must_be_integers(tw: Tower):
+    # a radius of 2.0 once raised TypeError from range
+    k = tw.h(0, (1, 0, 0))
+    for args, rule, bad in (((2.0,), "radius must be an integer", 2.0),
+                            (("2",), "radius must be an integer", "'2'"),
+                            ((2, 100.0), "size guard must be an integer", 100.0)):
+        with pytest.raises(ValueError, match=f"^{rule}, got {bad}$"):
+            tw.conjugate_growth_profile(k, *args)
+    assert tw.conjugate_growth_profile(k, np.int64(3), np.int32(32000)) == (1, 3, 6, 7)
+    assert tw.conjugate_growth_profile(k, True) == (1, 3)
+
+
 def test_conjugate_growth_monotone_everywhere(tw: Tower):
     sampler = Sampler(tw, seed=13)
     for _ in range(6):
@@ -300,6 +322,13 @@ def test_block_words_in_lex_order_and_memoized(tw: Tower):
             tw.h(n, (1, 0, 0)), tw.h(n, (0, 1, 0)), tw.h(n, (0, 0, 1))
         )
     assert Tower(tw.primes).block(1) is not tw.block(1)
+    # index i holds the point of code i, as `semidirect.points` decodes it
+    four = Tower("2,3,5,7")
+    for n, p in enumerate(four.primes):
+        block = four.block(n)
+        decoded = points(np.arange(p**3), p).tolist()
+        assert len(block) == len(decoded) == p**3
+        assert all(w == four.h(n, x) for w, x in zip(block, decoded))
 
 
 def test_block_index_must_be_an_integer():
